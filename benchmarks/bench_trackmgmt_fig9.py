@@ -4,7 +4,9 @@ Two reproductions, per DESIGN.md:
 
 * **real measurements** — the actual Python solver runs ten transport
   iterations under each storage strategy at growing (laptop-scale) track
-  counts; wall time and resident segment bytes are measured directly.
+  counts; wall time (the median of several fresh solves, since one solve
+  takes only tens of milliseconds) and resident segment bytes are
+  measured directly.
   Expected shape: EXP fastest / most memory, OTF slowest / least memory,
   Manager between, approaching EXP as its budget covers the problem;
 * **paper-scale simulation** — the cluster timing model replays the same
@@ -12,6 +14,7 @@ Two reproductions, per DESIGN.md:
   wall (out-of-memory) while OTF/Manager continue.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -28,6 +31,9 @@ from repro.trackmgmt.strategy import BYTES_PER_SEGMENT
 #: Real-measurement sweep: azimuthal/polar spacing per scale step.
 REAL_SCALES = [0.9, 0.7, 0.5, 0.4, 0.3]
 ITERATIONS = 10
+#: Timed solves per strategy and scale; the ordering gate compares medians.
+SAMPLES = 21
+STRATEGIES = ("EXP", "OTF", "MANAGER")
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +49,36 @@ def geometry3d():
     )
 
 
-def run_real(geometry3d, spacing, storage, budget):
-    solver = MOCSolver.for_3d(
-        geometry3d, num_azim=4, azim_spacing=spacing, polar_spacing=spacing,
-        num_polar=2, storage=storage, resident_memory_bytes=budget,
-        max_iterations=ITERATIONS, keff_tolerance=1e-12, source_tolerance=1e-12,
-    )
-    start = time.perf_counter()
-    solver.solve()
-    elapsed = time.perf_counter() - start
-    strategy = solver.storage_strategy
-    return elapsed, strategy.resident_memory_bytes(), solver.trackgen.num_tracks_3d
+def run_real(geometry3d, spacing, budget):
+    """Per strategy, ``(median solve time, resident segment bytes)``, plus
+    the 3D track count.
+
+    Each of ``SAMPLES`` rounds solves every strategy once on a fresh solver
+    (setup untimed), in turn and in a shuffled order, so a burst of host
+    noise hits all three alike instead of one strategy's whole block of
+    samples.
+    """
+    times = {name: [] for name in STRATEGIES}
+    memory = {}
+    order = np.random.default_rng(0)
+    for _ in range(SAMPLES):
+        for name in order.permutation(STRATEGIES):
+            solver = MOCSolver.for_3d(
+                geometry3d, num_azim=4, azim_spacing=spacing, polar_spacing=spacing,
+                num_polar=2, storage=name, resident_memory_bytes=budget,
+                max_iterations=ITERATIONS, keff_tolerance=1e-12, source_tolerance=1e-12,
+            )
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                solver.solve()
+                times[name].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            memory[name] = solver.storage_strategy.resident_memory_bytes()
+    results = {name: (float(np.median(times[name])), memory[name]) for name in STRATEGIES}
+    return results, solver.trackgen.num_tracks_3d
 
 
 def test_fig9_real_measurements(benchmark, reporter, geometry3d):
@@ -68,12 +93,11 @@ def test_fig9_real_measurements(benchmark, reporter, geometry3d):
         )
         exp_bytes = probe.storage_strategy.resident_memory_bytes()
         budget = exp_bytes // 2
-        t_exp, m_exp, tracks = run_real(geometry3d, spacing, "EXP", None)
-        t_otf, m_otf, _ = run_real(geometry3d, spacing, "OTF", None)
-        t_mgr, m_mgr, _ = run_real(geometry3d, spacing, "MANAGER", budget)
+        results, tracks = run_real(geometry3d, spacing, budget)
+        (t_exp, m_exp), (t_otf, m_otf), (t_mgr, m_mgr) = (results[n] for n in STRATEGIES)
         rows.append([
             tracks,
-            f"{t_exp:.2f}/{t_otf:.2f}/{t_mgr:.2f}",
+            f"{1e3 * t_exp:.1f}/{1e3 * t_otf:.1f}/{1e3 * t_mgr:.1f}",
             f"{m_exp}/{m_otf}/{m_mgr}",
         ])
         shapes_ok.append(t_exp <= t_otf and m_otf <= m_mgr <= m_exp and t_mgr <= t_otf * 1.15)
@@ -86,11 +110,14 @@ def test_fig9_real_measurements(benchmark, reporter, geometry3d):
     reduced = np.zeros((solver.terms.num_regions, solver.terms.num_groups))
     benchmark(solver.storage_strategy.sweep, solver.sweeper, reduced)
 
-    reporter.line("Fig. 9 reproduction (real solver, 10 iterations each)")
+    reporter.line(
+        f"Fig. 9 reproduction (real solver, {ITERATIONS} iterations each, "
+        f"median of {SAMPLES} solves)"
+    )
     reporter.line("time and resident memory as EXP/OTF/Manager")
     reporter.line()
     reporter.table(
-        ["3D tracks", "time s (E/O/M)", "resident B (E/O/M)"],
+        ["3D tracks", "time ms (E/O/M)", "resident B (E/O/M)"],
         rows, widths=[12, 22, 26],
     )
     assert all(shapes_ok), "storage-strategy ordering violated at some scale"

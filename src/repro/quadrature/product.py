@@ -69,7 +69,11 @@ class ProductQuadrature:
         its four physical directions (up/down polar family, each swept
         forward and backward), of which each traversal covers one.
         """
-        return float(
+        return float(self.track_weights_3d(a, p, z_spacing))
+
+    def track_weights_3d(self, a, p, z_spacing) -> np.ndarray:
+        """:meth:`track_weight_3d` over arrays of tracks, bitwise the same."""
+        return (
             0.25
             * FOUR_PI
             * self.azimuthal.weights[a]

@@ -545,7 +545,7 @@ class AntMocApplication:
                 tracks_2d=solver.trackgen.num_tracks,
                 segments_2d=solver.trackgen.num_segments,
                 tracks_3d=solver.trackgen.num_tracks_3d,
-                segments_3d=solver.storage_strategy.reference_segments().num_segments,
+                segments_3d=solver.segments_3d,
             )
             flux = result.scalar_flux
             rates = solver.terms.fission_rate(flux, solver.volumes)

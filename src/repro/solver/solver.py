@@ -148,7 +148,8 @@ class MOCSolver:
         terms = SourceTerms(list(geometry3d.fsr_materials))
         sweeper = TransportSweep3D(trackgen, terms, evaluator, backend=backend)
         strategy = make_strategy(storage, trackgen, resident_memory_bytes=resident_memory_bytes)
-        volumes = trackgen.fsr_volumes_3d(strategy.reference_segments())
+        reference = strategy.reference_segments()
+        volumes = trackgen.fsr_volumes_3d(reference)
         accelerator = None
         options = coerce_cmfd(cmfd)
         if options is not None:
@@ -179,6 +180,9 @@ class MOCSolver:
         )
         solver = cls(terms, volumes, keff_solver, sweeper, trackgen)
         solver.storage_strategy = strategy  # type: ignore[attr-defined]
+        #: Segment count of the setup-time segmentation; reporting reads it
+        #: instead of re-tracing after the solve.
+        solver.segments_3d = reference.num_segments  # type: ignore[attr-defined]
         return solver
 
     # --------------------------------------------------------------- runner

@@ -11,8 +11,6 @@ regeneration work avoided per resident byte.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.constants import DEFAULT_RESIDENT_MEMORY_BYTES
@@ -88,14 +86,14 @@ class ManagedStorage(StorageStrategy):
             resident_mask[uid] = True
         self.resident_mask = resident_mask
         self.estimated_segments = estimates
-        # Trace resident tracks once; store per-track lists for cheap
-        # merging with the per-sweep temporary traces.
-        self._resident_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for uid in np.nonzero(resident_mask)[0]:
-            self._resident_cache[int(uid)] = trackgen.trace_track_3d(tracks[int(uid)])
-        self._resident_segment_count = sum(
-            len(v[1]) for v in self._resident_cache.values()
-        )
+        self._resident_uids = np.flatnonzero(resident_mask)
+        self._temporary_uids = np.flatnonzero(~resident_mask)
+        # Resident tracks are traced once, in one batched call; each sweep
+        # traces the temporaries the same way and scatters both into place.
+        self._resident = trackgen.trace_tracks_3d(self._resident_uids)
+        #: Segments per track with the temporaries' entries still zero.
+        self._counts = np.zeros(len(tracks), dtype=np.int64)
+        self._counts[self._resident_uids] = self._resident.counts()
 
     # ------------------------------------------------------------- queries
 
@@ -113,23 +111,28 @@ class ManagedStorage(StorageStrategy):
         return self.num_resident / total if total else 0.0
 
     def resident_memory_bytes(self) -> int:
-        return self._resident_segment_count * BYTES_PER_SEGMENT
+        return self._resident.num_segments * BYTES_PER_SEGMENT
 
     # ------------------------------------------------------------ sweeping
 
     def _assemble(self) -> SegmentData:
         """Merge resident (cached) and temporary (fresh) segmentations."""
-        trackgen = self.trackgen
-        per_track: list[list[tuple[int, float]]] = []
-        for t in trackgen.tracks3d:
-            cached = self._resident_cache.get(t.uid)
-            if cached is None:
-                fsrs, lengths = trackgen.trace_track_3d(t)
-                self.regenerated_tracks_total += 1
-            else:
-                fsrs, lengths = cached
-            per_track.append(list(zip(fsrs.tolist(), lengths.tolist())))
-        return SegmentData.from_lists(per_track)
+        temporary = self.trackgen.trace_tracks_3d(self._temporary_uids)
+        self.regenerated_tracks_total += self._temporary_uids.size
+        counts = self._counts.copy()
+        counts[self._temporary_uids] = temporary.counts()
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        lengths = np.empty(int(offsets[-1]))
+        fsr_ids = np.empty(lengths.size, dtype=np.int32)
+        parts = ((self._resident_uids, self._resident), (self._temporary_uids, temporary))
+        for uids, part in parts:
+            # Each part segment moves by its track's offset shift.
+            dest = np.repeat(offsets[uids] - part.offsets[:-1], counts[uids])
+            dest += np.arange(dest.size)
+            lengths[dest] = part.lengths
+            fsr_ids[dest] = part.fsr_ids
+        return SegmentData(lengths, fsr_ids, offsets)
 
     def reference_segments(self) -> SegmentData:
         return self._assemble()

@@ -24,6 +24,7 @@ from repro.tracks.chains import Chain, build_chains, link_tracks
 from repro.tracks.raytrace2d import trace_all
 from repro.tracks.raytrace3d import (
     ChainSegments,
+    TrackTable3D,
     build_chain_tables,
     trace_3d_all,
     trace_3d_track,
@@ -253,6 +254,7 @@ class TrackGenerator3D(TrackGenerator):
         self._tracks3d: list[Track3D] | None = None
         self._stacks: list[Stack3D] | None = None
         self._chain_tables: dict[int, ChainSegments] | None = None
+        self._track_table3d: TrackTable3D | None = None
         self._volumes3d: np.ndarray | None = None
         self._sweep_topology3d = None
         self._sweep_plan3d = None
@@ -285,6 +287,7 @@ class TrackGenerator3D(TrackGenerator):
     def generate(self) -> "TrackGenerator3D":
         adopted = self._tracks is not None
         self.timings = TrackingTimings()
+        self._track_table3d = None
         if self.cache is not None and self._cache_load():
             return self
         if not adopted:
@@ -337,6 +340,23 @@ class TrackGenerator3D(TrackGenerator):
     def num_tracks_3d(self) -> int:
         return len(self.tracks3d)
 
+    @property
+    def track_table_3d(self) -> TrackTable3D:
+        """Per-track scalars and flat chain tables of the batched 3D
+        kernel, built on first use and kept for the generator's life."""
+        if self._track_table3d is None:
+            self._track_table3d = TrackTable3D(self.tracks3d, self.chains, self.chain_tables)
+        return self._track_table3d
+
+    def _track_angles_3d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Azimuthal index, polar index and stack spacing per 3D track."""
+        tracks = self.tracks3d
+        chain_azim = np.array([c.azim for c in self.chains], dtype=np.int64)
+        azim = chain_azim[self.track_table_3d.chain]
+        polar = np.fromiter((t.polar for t in tracks), np.int64, len(tracks))
+        z_spacing = np.fromiter((t.z_spacing for t in tracks), np.float64, len(tracks))
+        return azim, polar, z_spacing
+
     def is_chain_closed(self, chain_index: int) -> bool:
         return self.chains[chain_index].closed
 
@@ -352,9 +372,8 @@ class TrackGenerator3D(TrackGenerator):
         if self._sweep_topology3d is None:
             from repro.solver.backends.plan import TrackTopology
 
-            tracks = self.tracks3d
-            weights = np.array([self.track_weight_3d(t) for t in tracks])
-            self._sweep_topology3d = TrackTopology.from_tracks(tracks, weights, None)
+            weights = self.quadrature.track_weights_3d(*self._track_angles_3d())
+            self._sweep_topology3d = TrackTopology.from_tracks(self.tracks3d, weights, None)
         return self._sweep_topology3d
 
     def sweep_plan_3d(self, segments: SegmentData):
@@ -379,7 +398,8 @@ class TrackGenerator3D(TrackGenerator):
     # --------------------------------------------------------- segmentation
 
     def trace_track_3d(self, track: Track3D) -> tuple[np.ndarray, np.ndarray]:
-        """On-the-fly segmentation of one 3D track (the OTF kernel)."""
+        """Segmentation of one 3D track: the per-track test oracle of the
+        batched kernel behind :meth:`trace_all_3d`."""
         return trace_3d_track(
             track,
             self.chain_tables[track.chain],
@@ -388,8 +408,14 @@ class TrackGenerator3D(TrackGenerator):
         )
 
     def trace_all_3d(self) -> SegmentData:
-        """Explicit segmentation of every 3D track (the EXP path)."""
-        return trace_3d_all(self.tracks3d, self.chains, self.chain_tables, self.geometry3d)
+        """Segmentation of every 3D track in uid order: EXP/CCM setup and
+        the OTF regeneration of every sweep."""
+        return trace_3d_all(self.track_table_3d, self.geometry3d)
+
+    def trace_tracks_3d(self, uids: np.ndarray) -> SegmentData:
+        """Segmentation of the 3D tracks ``uids`` (result track ``i`` is
+        ``uids[i]``): the Manager's resident and temporary sets."""
+        return trace_3d_all(self.track_table_3d, self.geometry3d, uids)
 
     def track_weight_3d(self, track: Track3D) -> float:
         """Per-traversal sweep weight of a 3D track."""
@@ -399,21 +425,23 @@ class TrackGenerator3D(TrackGenerator):
     def track_volume_weight_3d(self, track: Track3D) -> float:
         """Volume-tally weight: ``w_a w_p / 2 * spacing_a * z_spacing``."""
         a = self.chains[track.chain].azim
-        return float(
+        return float(self._volume_weights_3d(a, track.polar, track.z_spacing))
+
+    def _volume_weights_3d(self, a, p, z_spacing):
+        """:meth:`track_volume_weight_3d` over scalars or per-track arrays."""
+        return (
             0.5
             * self.azimuthal.weights[a]
-            * self.polar.weights[track.polar]
+            * self.polar.weights[p]
             * self.azimuthal.spacing[a]
-            * track.z_spacing
+            * z_spacing
         )
 
     def fsr_volumes_3d(self, segments3d: SegmentData | None = None) -> np.ndarray:
         """Tracked 3D FSR volumes (computed lazily, cached)."""
         if self._volumes3d is None:
             segs = segments3d if segments3d is not None else self.trace_all_3d()
-            weights = np.empty(segs.num_segments)
-            for t in self.tracks3d:
-                lo, hi = segs.offsets[t.uid], segs.offsets[t.uid + 1]
-                weights[lo:hi] = self.track_volume_weight_3d(t)
+            track_weights = self._volume_weights_3d(*self._track_angles_3d())
+            weights = np.repeat(track_weights, segs.counts())
             self._volumes3d = segs.fsr_path_lengths(self.geometry3d.num_fsrs, weights)
         return self._volumes3d

@@ -8,9 +8,11 @@ families along the track parameter:
 * axial crossings — the z-planes of the axial mesh,
 
 exactly the two nested loops of the paper's Figure 3(b). Because both
-families are precomputed 1D arrays, the merge is a vectorised
-``searchsorted`` rather than a surface-by-surface walk, mirroring how the
-GPU kernel streams 2D segments.
+families are precomputed 1D arrays, the merge is a sort rather than a
+surface-by-surface walk, mirroring how the GPU kernel streams 2D segments.
+:func:`trace_3d_all` does it for a whole set of tracks in one batched pass;
+:func:`trace_3d_track` does it for one track and is the kernel's test
+oracle.
 """
 
 from __future__ import annotations
@@ -240,24 +242,250 @@ def trace_3d_track(
     return fsr3d[keep].astype(np.int64), lengths[keep]
 
 
-def trace_3d_all(
-    tracks3d: list[Track3D],
-    chains: list[Chain],
-    chain_tables: dict[int, ChainSegments],
-    geometry3d: ExtrudedGeometry,
-) -> SegmentData:
-    """Explicitly segment every 3D track (the EXP storage path)."""
-    closed = {c.index: c.closed for c in chains}
-    all_fsrs: list[np.ndarray] = []
-    all_lengths: list[np.ndarray] = []
-    offsets = np.zeros(len(tracks3d) + 1, dtype=np.int64)
-    for i, t in enumerate(tracks3d):
-        fsrs, lengths = trace_3d_track(t, chain_tables[t.chain], geometry3d, wrap=closed[t.chain])
-        all_fsrs.append(fsrs)
-        all_lengths.append(lengths)
-        offsets[i + 1] = offsets[i] + fsrs.size
-    return SegmentData(
-        np.concatenate(all_lengths) if all_lengths else np.empty(0),
-        np.concatenate(all_fsrs) if all_fsrs else np.empty(0, dtype=np.int32),
-        offsets,
+#: Tracks segmented per kernel pass. Bounds the kernel's transient arrays
+#: (a few times the chunk's segment count) independently of the laydown;
+#: chunk-local track ids must fit the int16 radix sort.
+CHUNK_TRACKS = 512
+
+#: The tolerances :func:`trace_3d_track` applies; the kernel must apply the
+#: same values for its output to stay byte-identical.
+_PARALLEL_TOL = 1e-14
+_BREAK_TOL = 1e-12
+_MIN_LENGTH = 1e-13
+
+
+class TrackTable3D:
+    """Per-track scalars of every 3D track plus the flattened chain tables.
+
+    The batched kernel's only cached state: one entry per 3D track (chain,
+    end points, ``ds``/``dz``/3D length, periodic wrap range) and one entry
+    per chain (length and slice of the flat tables). ``bounds`` holds every
+    chain's radial breakpoints back to back, followed by a ``+inf``
+    sentinel so searches may read one slot past a chain; ``fsrs[j]`` is
+    the radial FSR of interval ``bounds[j]..bounds[j+1]``. ``keys`` are the
+    bounds moved by a per-chain ``chain_offset`` so that all chains sort
+    into one increasing array: one ``searchsorted`` over it gives every
+    query's position within its own chain to within rounding, which
+    :func:`_first_true` then settles exactly. The size is O(tracks +
+    chain-table entries), never O(segments).
+    """
+
+    __slots__ = (
+        "chain", "s0", "s1", "z0", "z1", "ds", "dz", "total", "wrap", "wrap_lo",
+        "wrap_hi", "chain_start", "chain_size", "chain_length", "chain_offset",
+        "bounds", "fsrs", "keys",
     )
+
+    def __init__(
+        self,
+        tracks3d: list[Track3D],
+        chains: list[Chain],
+        chain_tables: dict[int, ChainSegments],
+    ) -> None:
+        n = len(tracks3d)
+        self.chain = np.fromiter((t.chain for t in tracks3d), np.int64, n)
+        self.s0 = np.fromiter((t.s0 for t in tracks3d), np.float64, n)
+        self.s1 = np.fromiter((t.s1 for t in tracks3d), np.float64, n)
+        self.z0 = np.fromiter((t.z0 for t in tracks3d), np.float64, n)
+        self.z1 = np.fromiter((t.z1 for t in tracks3d), np.float64, n)
+        self.ds = self.s1 - self.s0
+        self.dz = self.z1 - self.z0
+        # math.hypot, not np.hypot: the two may round differently.
+        self.total = np.fromiter(
+            (math.hypot(a, b) for a, b in zip(self.ds.tolist(), self.dz.tolist())),
+            np.float64, n,
+        )
+
+        num_chains = len(chains)
+        tables = [chain_tables[c.index] for c in chains]
+        sizes = np.array([t.bounds.size for t in tables], dtype=np.int64)
+        self.chain_size = sizes
+        self.chain_start = np.zeros(num_chains, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=self.chain_start[1:])
+        self.chain_length = np.array([t.length for t in tables], dtype=np.float64)
+        self.bounds = np.concatenate([t.bounds for t in tables] + [np.array([np.inf])])
+        # Chain c's keys lie in [offset_c, offset_c + L_c]; the gap of 1
+        # keeps consecutive chains apart.
+        self.chain_offset = np.cumsum(self.chain_length + 1.0) - (self.chain_length + 1.0)
+        self.keys = self.bounds[:-1] + np.repeat(self.chain_offset, sizes)
+        # One slot per bound; the slot of each chain's last bound is unused.
+        self.fsrs = np.concatenate(
+            [np.append(t.fsrs, -1) for t in tables] + [np.array([-1])]
+        ).astype(np.int64)
+
+        closed = np.array([c.closed for c in chains], dtype=bool)
+        self.wrap = closed[self.chain]
+        length = self.chain_length[self.chain]
+        self.wrap_lo = np.where(self.wrap, np.floor(self.s0 / length), 0).astype(np.int64)
+        self.wrap_hi = np.where(self.wrap, np.floor(self.s1 / length), 0).astype(np.int64)
+
+    @property
+    def num_tracks(self) -> int:
+        return int(self.chain.size)
+
+    def nbytes(self) -> int:
+        """Bytes held by the cached arrays."""
+        return int(sum(getattr(self, name).nbytes for name in self.__slots__))
+
+
+def _first_true(guess: np.ndarray, lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
+    """Per entry, the first index in ``[lo, hi)`` where the monotone
+    (False...True) predicate holds, else ``hi``.
+
+    Starts from ``guess`` and steps down while the predicate already holds
+    one index lower, then up while it does not hold yet; a guess off by
+    rounding settles in a step or two. ``pred`` is evaluated on every entry
+    at ``j - 1`` and ``j`` for ``j`` in ``[lo, hi]``; callers make those
+    indices readable.
+    """
+    j = np.clip(guess, lo, hi)
+    while True:
+        step = (j > lo) & pred(j - 1)
+        if not step.any():
+            break
+        j = j - step
+    while True:
+        step = (j < hi) & ~pred(j)
+        if not step.any():
+            return j
+        j = j + step
+
+
+def _ramp(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, k)`` for the ragged expansion ``owner`` repeated
+    ``counts[owner]`` times with ``k = 0..counts[owner]-1``."""
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size, dtype=np.int64) - starts[owner]
+
+
+def _trace_chunk(
+    table: TrackTable3D, z_edges: np.ndarray, uids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment the tracks ``uids``; returns ``(counts, fsr3d, lengths)``.
+
+    Reproduces :func:`trace_3d_track` operation for operation over the
+    whole chunk: the same breakpoint values and masks, the same sorted
+    merge, and the same midpoint lookups.
+    """
+    n = uids.size
+    chain = table.chain[uids]
+    s0, s1 = table.s0[uids], table.s1[uids]
+    z0, z1 = table.z0[uids], table.z1[uids]
+    ds, dz, total = table.ds[uids], table.dz[uids], table.total[uids]
+    if np.any(total <= 0.0):
+        bad = int(uids[np.flatnonzero(total <= 0.0)[0]])
+        raise TrackingError(f"3D track {bad} has zero length")
+    start = table.chain_start[chain]
+    bounds = table.bounds
+
+    # Radial crossings: per (track, wrap) pair, the window of chain bounds
+    # shifted by w*L that passes the oracle's strict +-1e-12 masks. The
+    # shifted values are monotone in the bound index, so each window edge
+    # is the first index where the exact masked comparison flips. Bound 0
+    # (the chain seam at w*L) joins the window for every wrap after the
+    # first.
+    wrap_lo = table.wrap_lo[uids]
+    nwrap = np.where(ds > _PARALLEL_TOL, table.wrap_hi[uids] - wrap_lo + 1, 0)
+    p_trk, p_k = _ramp(nwrap)
+    p_w = wrap_lo[p_trk] + p_k
+    p_shift = p_w * table.chain_length[chain[p_trk]]
+    p_start = start[p_trk]
+    p_first = p_start + (p_k == 0)
+    p_last = p_start + table.chain_size[chain[p_trk]] - 1
+    above = s0[p_trk] + _BREAK_TOL
+    below = s1[p_trk] - _BREAK_TOL
+    p_key = table.chain_offset[chain[p_trk]] - p_shift
+    j_lo = _first_true(
+        np.searchsorted(table.keys, above + p_key, side="right"), p_first, p_last,
+        lambda j: bounds[j] + p_shift > above,
+    )
+    j_hi = _first_true(
+        np.searchsorted(table.keys, below + p_key, side="left"), p_first, p_last,
+        lambda j: bounds[j] + p_shift >= below,
+    )
+    c_pair, c_k = _ramp(np.maximum(j_hi - j_lo, 0))
+    r_trk = p_trk[c_pair]
+    s_cross = bounds[j_lo[c_pair] + c_k] + p_shift[c_pair]
+    t_radial = (s_cross - s0[r_trk]) / ds[r_trk]
+
+    # Axial crossings: inner z-planes strictly inside the track's z span.
+    inner = z_edges[1:-1]
+    zlo = np.where(dz > 0, z0, z1)
+    zhi = np.where(dz > 0, z1, z0)
+    k_lo = np.searchsorted(inner, zlo + _BREAK_TOL, side="right")
+    k_hi = np.searchsorted(inner, zhi - _BREAK_TOL, side="left")
+    a_count = np.where(np.abs(dz) > _PARALLEL_TOL, np.maximum(k_hi - k_lo, 0), 0)
+    a_trk, a_k = _ramp(a_count)
+    t_axial = (inner[k_lo[a_trk] + a_k] - z0[a_trk]) / dz[a_trk]
+
+    # np.unique per track is a sort on (track, t): a sort on t, then a
+    # stable (radix, on int16) sort on the track. Its de-duplication is
+    # implicit: a repeated t makes an exactly zero-length segment, which
+    # the minimum-length filter below drops like the oracle's merge does.
+    local = np.arange(n, dtype=np.int16)
+    trk = np.concatenate([local, local, r_trk.astype(np.int16), a_trk.astype(np.int16)])
+    t = np.concatenate([np.zeros(n), np.ones(n), t_radial, t_axial])
+    order = np.argsort(t)
+    order = order[np.argsort(trk[order], kind="stable")]
+    trk = trk[order].astype(np.int64)
+    t = t[order]
+
+    pair = trk[1:] == trk[:-1]
+    seg = trk[:-1][pair]
+    ta = t[:-1][pair]
+    tb = t[1:][pair]
+    mids = 0.5 * (ta + tb)
+    lengths = (tb - ta) * total[seg]
+
+    s_mid = s0[seg] + mids * ds[seg]
+    wrapped = table.wrap[uids][seg]
+    s_mid[wrapped] = np.mod(s_mid[wrapped], table.chain_length[chain[seg]][wrapped])
+    z_mid = z0[seg] + mids * dz[seg]
+    seg_start = start[seg]
+    seg_size = table.chain_size[chain[seg]]
+    above_mid = _first_true(
+        np.searchsorted(table.keys, s_mid + table.chain_offset[chain[seg]], side="right"),
+        seg_start, seg_start + seg_size, lambda j: bounds[j] > s_mid,
+    )
+    radial_idx = np.clip(above_mid - seg_start - 1, 0, seg_size - 2)
+    nz = z_edges.size - 1
+    layers = np.clip(np.searchsorted(z_edges, z_mid, side="right") - 1, 0, nz - 1)
+    fsr3d = table.fsrs[seg_start + radial_idx] * nz + layers
+
+    kept = lengths > _MIN_LENGTH
+    counts = np.bincount(seg[kept], minlength=n)
+    return counts, fsr3d[kept], lengths[kept]
+
+
+def trace_3d_all(
+    table: TrackTable3D,
+    geometry3d: ExtrudedGeometry,
+    uids: np.ndarray | None = None,
+) -> SegmentData:
+    """Segment a set of 3D tracks in one batched kernel.
+
+    Every 3D segmentation goes through here: EXP/CCM setup, OTF
+    regeneration on every sweep, the Manager's resident and temporary
+    sets, and each slab of the z-decomposed driver. ``uids`` selects the
+    tracks (in the order given; default all, in uid order); track ``i`` of
+    the result is ``uids[i]``. The result is byte-identical to
+    concatenating :func:`trace_3d_track` over the same tracks. Tracks are
+    processed :data:`CHUNK_TRACKS` at a time so transient memory stays
+    bounded however many tracks are requested.
+    """
+    if uids is None:
+        uids = np.arange(table.num_tracks, dtype=np.int64)
+    uids = np.asarray(uids, dtype=np.int64)
+    z_edges = geometry3d.axial_mesh.z_edges
+    counts: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    fsrs: list[np.ndarray] = [np.empty(0, dtype=np.int32)]
+    lengths: list[np.ndarray] = [np.empty(0)]
+    for lo in range(0, uids.size, CHUNK_TRACKS):
+        c, f, ln = _trace_chunk(table, z_edges, uids[lo : lo + CHUNK_TRACKS])
+        counts.append(c)
+        fsrs.append(f.astype(np.int32))
+        lengths.append(ln)
+    offsets = np.zeros(uids.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=offsets[1:])
+    return SegmentData(np.concatenate(lengths), np.concatenate(fsrs), offsets)

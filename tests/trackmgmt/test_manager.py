@@ -81,6 +81,16 @@ class TestSweepEquivalence:
         mgr.sweep(sweeper, q)
         assert mgr.regenerated_tracks_total == 2 * mgr.num_temporary
 
+    @pytest.mark.parametrize("budget", [0, 500, 10**12])
+    def test_assembly_bitwise_equals_full_trace(self, small_trackgen_3d, budget):
+        """Resident and temporary parts scatter back into uid order with
+        exactly the bytes of one full trace."""
+        mgr = ManagedStorage(small_trackgen_3d, resident_memory_bytes=budget)
+        full = small_trackgen_3d.trace_all_3d()
+        merged = mgr.reference_segments()
+        for name in ("offsets", "fsr_ids", "lengths"):
+            assert getattr(merged, name).tobytes() == getattr(full, name).tobytes()
+
     def test_est_segments_attached_to_tracks(self, small_trackgen_3d):
         ManagedStorage(small_trackgen_3d, resident_memory_bytes=100)
         assert all(t.est_segments > 0 for t in small_trackgen_3d.tracks3d)

@@ -7,6 +7,7 @@ from repro.errors import SolverError
 from repro.solver import SourceTerms, TransportSweep3D
 from repro.trackmgmt import ExplicitStorage, OnTheFlyStorage, make_strategy
 from repro.trackmgmt.strategy import BYTES_PER_SEGMENT
+from repro.tracks import SegmentData
 
 
 @pytest.fixture()
@@ -45,6 +46,19 @@ class TestOnTheFly:
         otf.sweep(sweeper, q)
         otf.sweep(sweeper, q)
         assert otf.regenerated_tracks_total == 2 * small_trackgen_3d.num_tracks_3d
+
+    def test_stays_on_the_fly(self, small_trackgen_3d, sweeper):
+        """After several sweeps OTF holds no segments, and the batched
+        kernel's cache is O(tracks) plus the chain tables."""
+        tg = small_trackgen_3d
+        otf = OnTheFlyStorage(tg)
+        q = np.full((sweeper.terms.num_regions, 2), 0.3)
+        for _ in range(3):
+            otf.sweep(sweeper, q)
+        assert otf.resident_memory_bytes() == 0
+        assert not any(isinstance(v, SegmentData) for v in vars(otf).values())
+        chain_bytes = sum(t.bounds.nbytes + t.fsrs.nbytes for t in tg.chain_tables.values())
+        assert tg.track_table_3d.nbytes() <= 128 * tg.num_tracks_3d + 2 * chain_bytes + 64
 
     def test_same_physics_as_exp(self, small_trackgen_3d, sweeper):
         exp = ExplicitStorage(small_trackgen_3d)
