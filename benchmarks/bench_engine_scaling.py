@@ -1,8 +1,7 @@
 """Multiprocess-engine scaling benchmark (the BENCH_engine record).
 
-Runs the coarse C5G7 3D core, z-decomposed into 4 slabs, through **both**
-process engines — the barrier-phased ``mp`` scheme and the mailbox/epoch
-``mp-async`` scheme — at 1, 2 and 4 workers, each measurement in a fresh
+Runs the coarse C5G7 3D core, z-decomposed into 4 slabs, through the
+``mp-async`` engine at 1, 2 and 4 workers, each measurement in a fresh
 subprocess (this file re-invoked with ``--worker``) so allocator and GC
 state cannot bleed between runs, plus one ``inproc`` oracle run. Every
 run must land on bitwise-identical k-eff: speedup can never come from an
@@ -10,11 +9,10 @@ engine that changed the numbers.
 
 The record keeps wall-clock speedups *and* the machine's core count:
 domain-parallel sweeps cannot beat the serial engine on a box with fewer
-cores than workers (the acceptance floors — 1.8x for ``mp``, 2.5x for
-``mp-async`` at 4 workers — are asserted only when 4+ cores are present;
-below that the measured ratios are still recorded honestly, tagged with
-``cpus`` so readers know what they mean). Async runs also record the
-mailbox counters (``halo_wait_ns``, ``neighbor_stalls``,
+cores than workers (the 2.5x acceptance floor at 4 workers is asserted
+only when 4+ cores are present; below that the measured ratios are still
+recorded honestly, tagged with ``cpus`` so readers know what they mean).
+Runs also record the mailbox counters (``halo_wait_ns``, ``neighbor_stalls``,
 ``epochs_overlapped``) so a scaling regression can be attributed to
 waiting rather than sweeping.
 
@@ -43,11 +41,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_engine.json"
 
-#: Acceptance floors on the full configuration, enforced only on hosts
-#: with at least :data:`MIN_CPUS_FOR_FLOOR` cores. The async floor is the
-#: PR's acceptance criterion: dependency-driven exchange must scale where
-#: the two-barrier epoch could not.
-MIN_SPEEDUP_4W = 1.8
+#: Acceptance floor on the full configuration, enforced only on hosts
+#: with at least :data:`MIN_CPUS_FOR_FLOOR` cores: dependency-driven
+#: exchange must scale with the worker count.
 MIN_ASYNC_SPEEDUP_4W = 2.5
 MIN_CPUS_FOR_FLOOR = 4
 
@@ -60,7 +56,7 @@ CONFIGS = {
 
 NUM_DOMAINS = 4
 WORKER_COUNTS = (1, 2, 4)
-PROTOCOLS = ("mp", "mp-async")
+ENGINE = "mp-async"
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +77,7 @@ def _run_worker(args: argparse.Namespace) -> None:
             fuel_layers=2, reflector_layers=2,
         ),
     )
-    engine = "inproc" if args.worker == 0 else args.engine
+    engine = "inproc" if args.worker == 0 else ENGINE
     solver = ZDecomposedSolver(
         geometry3d, num_domains=NUM_DOMAINS, num_azim=4, azim_spacing=0.5,
         polar_spacing=1.0, num_polar=2,
@@ -107,8 +103,7 @@ def _run_worker(args: argparse.Namespace) -> None:
     }))
 
 
-def _spawn(workers: int, config: dict, engine: str = "mp",
-           pin: bool = False) -> dict:
+def _spawn(workers: int, config: dict, pin: bool = False) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_ENGINE", None)  # the worker's --worker mode decides
@@ -116,7 +111,6 @@ def _spawn(workers: int, config: dict, engine: str = "mp",
     cmd = [
         sys.executable, str(Path(__file__).resolve()),
         "--worker", str(workers),
-        "--engine", engine,
         "--iterations", str(config["iterations"]),
     ]
     if pin:
@@ -124,7 +118,7 @@ def _spawn(workers: int, config: dict, engine: str = "mp",
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=False)
     if proc.returncode != 0:
         raise RuntimeError(
-            f"engine worker ({engine}, {workers}) failed ({proc.returncode}):\n"
+            f"engine worker ({workers}) failed ({proc.returncode}):\n"
             f"{proc.stdout}\n{proc.stderr}"
         )
     return parse_record(proc.stdout.strip().splitlines()[-1])
@@ -135,30 +129,19 @@ def _spawn(workers: int, config: dict, engine: str = "mp",
 # ---------------------------------------------------------------------------
 
 def run_case(case: str) -> dict:
-    """Measure the oracle and the full protocol/worker matrix."""
+    """Measure the oracle and the worker-count sweep."""
     config = CONFIGS[case]
     oracle = _spawn(0, config)
-    runs = {
-        engine: {w: _spawn(w, config, engine=engine) for w in WORKER_COUNTS}
-        for engine in PROTOCOLS
-    }
+    runs = {w: _spawn(w, config) for w in WORKER_COUNTS}
 
-    all_runs = [oracle] + [r for per in runs.values() for r in per.values()]
+    all_runs = [oracle, *runs.values()]
     keffs = {r["keff"] for r in all_runs}
     comms = {(r["comm_bytes"], r["comm_messages"]) for r in all_runs}
-    ratios = {}
-    for engine in PROTOCOLS:
-        prefix = "speedup" if engine == "mp" else "async_speedup"
-        serial = runs[engine][1]["solve_seconds"]
-        for w in WORKER_COUNTS:
-            ratios[f"{prefix}_{w}w"] = serial / max(
-                runs[engine][w]["solve_seconds"], 1e-12
-            )
-    # Head-to-head: barrier wall-clock over mailbox wall-clock, same workers.
-    for w in WORKER_COUNTS:
-        ratios[f"async_vs_mp_{w}w"] = runs["mp"][w]["solve_seconds"] / max(
-            runs["mp-async"][w]["solve_seconds"], 1e-12
-        )
+    serial = runs[1]["solve_seconds"]
+    ratios = {
+        f"async_speedup_{w}w": serial / max(runs[w]["solve_seconds"], 1e-12)
+        for w in WORKER_COUNTS
+    }
     record = {
         "case": case,
         "config": config,
@@ -170,18 +153,14 @@ def run_case(case: str) -> dict:
         "runs": {
             "inproc": {"solve_seconds": round(oracle["solve_seconds"], 4)},
             **{
-                f"{engine}-{w}w": {
+                f"{ENGINE}-{w}w": {
                     "solve_seconds": round(r["solve_seconds"], 4),
                     "max_worker_sweep_seconds": round(
                         r["max_worker_sweep_seconds"], 4
                     ),
-                    **(
-                        {"comm_counters": r["comm_counters"]}
-                        if r.get("comm_counters") else {}
-                    ),
+                    "comm_counters": r["comm_counters"],
                 }
-                for engine, per in runs.items()
-                for w, r in per.items()
+                for w, r in runs.items()
             },
         },
         "ratios": ratios,
@@ -196,22 +175,13 @@ def _report(reporter, record: dict) -> None:
         f"{record['config']['iterations']} iterations, {record['cpus']} cpus)"
     )
     rows = [["inproc", f"{record['runs']['inproc']['solve_seconds']:.3f}", "-"]]
-    for engine in PROTOCOLS:
-        prefix = "speedup" if engine == "mp" else "async_speedup"
-        for w in WORKER_COUNTS:
-            rows.append([
-                f"{engine}-{w}w",
-                f"{record['runs'][f'{engine}-{w}w']['solve_seconds']:.3f}",
-                f"{record['ratios'][f'{prefix}_{w}w']:.2f}x",
-            ])
+    for w in WORKER_COUNTS:
+        rows.append([
+            f"{ENGINE}-{w}w",
+            f"{record['runs'][f'{ENGINE}-{w}w']['solve_seconds']:.3f}",
+            f"{record['ratios'][f'async_speedup_{w}w']:.2f}x",
+        ])
     reporter.table(["engine", "solve (s)", "vs own 1w"], rows, widths=[14, 12, 10])
-    reporter.line(
-        "async vs mp (same workers): "
-        + ", ".join(
-            f"{w}w {record['ratios'][f'async_vs_mp_{w}w']:.2f}x"
-            for w in WORKER_COUNTS
-        )
-    )
     reporter.line(
         f"bitwise identical keff: {record['bitwise_identical']}  "
         f"identical traffic: {record['comm_identical']}"
@@ -232,17 +202,12 @@ if pytest is not None:
 
     @pytest.mark.slow
     def test_engine_scaling(reporter):
-        """Full matrix: mp and mp-async wall-clock scaling on coarse C5G7 3D."""
+        """Full sweep: mp-async wall-clock scaling on coarse C5G7 3D."""
         record = run_case("full")
         _report(reporter, record)
         assert record["bitwise_identical"], "engines disagreed on k-eff"
         assert record["comm_identical"], "engines disagreed on traffic totals"
         if record["cpus"] and record["cpus"] >= MIN_CPUS_FOR_FLOOR:
-            speedup = record["ratios"]["speedup_4w"]
-            assert speedup >= MIN_SPEEDUP_4W, (
-                f"mp engine only {speedup:.2f}x at 4 workers on "
-                f"{record['cpus']} cores (floor {MIN_SPEEDUP_4W}x)"
-            )
             async_speedup = record["ratios"]["async_speedup_4w"]
             assert async_speedup >= MIN_ASYNC_SPEEDUP_4W, (
                 f"mp-async engine only {async_speedup:.2f}x at 4 workers on "
@@ -250,7 +215,7 @@ if pytest is not None:
             )
         else:
             reporter.line(
-                f"speedup floors not enforced: {record['cpus']} cpu(s) < "
+                f"speedup floor not enforced: {record['cpus']} cpu(s) < "
                 f"{MIN_CPUS_FOR_FLOOR} (ratios recorded for reference)"
             )
 
@@ -262,8 +227,8 @@ if pytest is not None:
         """
         config = CONFIGS["quick"]
         oracle = _spawn(0, config)
-        serial = _spawn(1, config, engine="mp-async")
-        run = _spawn(4, config, engine="mp-async", pin=True)
+        serial = _spawn(1, config)
+        run = _spawn(4, config, pin=True)
         assert run["keff"] == oracle["keff"] == serial["keff"], (
             "mp-async disagreed with inproc on k-eff"
         )
@@ -299,16 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--worker", type=int, default=None, metavar="W",
-        help="internal: run one timed solve (0 = inproc oracle, N = the "
-        "chosen engine with N workers)",
-    )
-    parser.add_argument(
-        "--engine", choices=PROTOCOLS, default="mp",
-        help="process engine measured by --worker runs (default mp)",
+        help="internal: run one timed solve (0 = inproc oracle, N = mp-async "
+        "with N workers)",
     )
     parser.add_argument(
         "--pin", action="store_true",
-        help="pin worker processes to distinct CPUs (mp engines)",
+        help="pin worker processes to distinct CPUs",
     )
     parser.add_argument("--iterations", type=int, default=CONFIGS["full"]["iterations"])
     parser.add_argument("--quick", action="store_true", help="measure the reduced configuration")
@@ -324,12 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         print(dump_record(record, indent=2))
     else:
         ratios = ", ".join(
-            f"{w}w {record['ratios'][f'speedup_{w}w']:.2f}x/"
-            f"{record['ratios'][f'async_speedup_{w}w']:.2f}x"
+            f"{w}w {record['ratios'][f'async_speedup_{w}w']:.2f}x"
             for w in WORKER_COUNTS
         )
         print(
-            f"{record['case']}: mp/mp-async {ratios}, "
+            f"{record['case']}: mp-async {ratios}, "
             f"identical={record['bitwise_identical']} ({record['cpus']} cpus)"
         )
     return 0

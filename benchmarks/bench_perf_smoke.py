@@ -77,7 +77,7 @@ def test_tracking_quick_ratios_hold():
 
 @pytest.mark.perf
 def test_engine_quick_ratio_holds():
-    """The mp engine's relative scaling must not regress.
+    """The mp-async engine's relative scaling must not regress.
 
     On a single-core host every worker count serializes onto one CPU, so
     the measured ratios reflect scheduler noise, not the engine — the gate
@@ -91,7 +91,7 @@ def test_engine_quick_ratio_holds():
     cpus = os.cpu_count() or 1
     if cpus < 2:
         pytest.skip(f"{cpus} cpu(s): mp scaling ratios are not meaningful")
-    for key in ("speedup_2w", "speedup_4w", "async_speedup_2w", "async_speedup_4w"):
+    for key in ("async_speedup_2w", "async_speedup_4w"):
         _check(f"engine {key}", record["ratios"][key], baseline["ratios"][key])
 
 

@@ -27,7 +27,7 @@ from repro.geometry import Geometry, Lattice
 from repro.geometry.c5g7 import C5G7Spec, build_c5g7_3d
 from repro.geometry.universe import make_pin_cell_universe
 from repro.materials import c5g7_library
-from repro.solver import KeffSolver, SourceTerms, TransportSweep2D, TransportSweep3D, available_backends
+from repro.solver import KeffSolver, SourceTerms, TransportSweep2D, TransportSweep3D
 from repro.tracks import TrackGenerator, TrackGenerator3D
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -42,11 +42,8 @@ ITERATIONS = 6
 MIN_NUMPY_SPEEDUP_3D = 2.0
 
 
-def _backends_under_test() -> list[str]:
-    names = ["numpy", "reference"]
-    if available_backends().get("numba"):
-        names.insert(1, "numba")
-    return names
+#: Every registered kernel; ``reference`` is the speedup denominator.
+BACKENDS = ("numpy", "reference")
 
 
 def _report(reporter, record: dict) -> None:
@@ -101,7 +98,7 @@ def test_sweep_kernel_3d_c5g7_coarse(reporter):
     volumes = trackgen.fsr_volumes_3d(segments)
 
     rows = []
-    for name in _backends_under_test():
+    for name in BACKENDS:
         sweeper = TransportSweep3D(trackgen, terms, backend=name)
         solver = KeffSolver(
             terms, volumes,
@@ -211,7 +208,7 @@ def test_sweep_kernel_2d_pin_cell(reporter):
     volumes = trackgen.fsr_volumes
 
     rows = []
-    for name in _backends_under_test():
+    for name in BACKENDS:
         sweeper = TransportSweep2D(trackgen, terms, backend=name)
         solver = KeffSolver(
             terms, volumes,

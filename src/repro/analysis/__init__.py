@@ -13,8 +13,9 @@ an AST checker that runs over the tree in CI:
 Checkers are pluggable (:func:`register_checker`) and individually
 suppressible per line (``# repro: ignore[rule-id]``) or per file
 (``# repro: ignore-file[rule-id]`` near the top of the module). The
-companion *dynamic* tool — the shm barrier-phase race sanitizer — lives in
-:mod:`repro.engine.sanitize` and is selected with ``--engine=mp-sanitize``.
+companion *dynamic* tool — the shm race sanitizer — lives in
+:mod:`repro.engine.sanitize` and is selected with
+``--engine=mp-async-sanitize``.
 """
 
 from __future__ import annotations

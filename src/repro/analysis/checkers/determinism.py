@@ -1,7 +1,7 @@
 """Determinism checker: solver hot paths must be bitwise replayable.
 
 The cross-engine equivalence suite asserts *bitwise* agreement between the
-``inproc`` oracle and the ``mp`` engine, and the paper's Eq. 2-7 track
+``inproc`` oracle and the ``mp-async`` engine, and the paper's Eq. 2-7 track
 accounting is exact integer arithmetic — both collapse the moment a hot
 path consults wall-clock time or an unseeded random stream. Three rules:
 

@@ -1,30 +1,25 @@
-"""Shm-protocol checker: the engines' shared-memory discipline, proved
+"""Shm-protocol checker: the engine's shared-memory discipline, proved
 statically on every control-flow path.
 
-The dynamic sanitizer (``mp-sanitize``/``mp-async-sanitize``) observes the
-barrier/epoch/seqlock protocol on the schedules that happen to execute;
-this checker is its static twin, running the same ordering rules over the
-statement-level CFGs of :mod:`repro.engine.mp`, :mod:`~repro.engine.async_mp`,
-:mod:`~repro.engine.shm` and :mod:`~repro.engine.sanitize`. Four rules:
+The dynamic sanitizer (``mp-async-sanitize``) observes the epoch/seqlock
+protocol on the schedules that happen to execute; this checker is its
+static twin, running the same ordering rules over the statement-level
+CFGs of :mod:`repro.engine.async_mp`, :mod:`~repro.engine.shm` and
+:mod:`~repro.engine.sanitize`. Three rules:
 
 * ``shm-bump-before-payload`` — a seqlock publish (``edge_seq[e] = t+1``,
   ``grant[_EPOCH] = ...``) must be preceded by its payload write (the halo
   pack, the other grant slots) on **every** path since the last publish; a
   *must* analysis over the CFG proves it. This is the induction step of
   DESIGN.md's seqlock safety argument, checked before the code ever runs.
-* ``shm-missing-barrier`` — in barrier-phased functions, no halo read may
-  be reachable from a halo write without an intervening ``barrier.wait``
-  (or a local wrapper that performs one); a *may* analysis finds the racy
-  path. The sanitizer's deliberate fault-injection race carries a
-  rationale'd suppression.
 * ``shm-overlapping-write`` — inside a worker loop (any function taking a
   ``wid`` parameter), every write to a worker-shared arena field must be
   partitioned by the worker's ownership: the statically-derivable target
   expression must involve a name derived from ``wid``/``owned`` (domain
-  and edge loop variables, ``pack.outgoing`` index arrays, block views).
+  and edge loop variables, their row ranges, block views).
   Two workers' slices then cannot overlap within an epoch.
-* ``shm-untracked-parent-write`` — the untracked arena cells (``control``,
-  ``factors``, ``grant``) are parent-owned single-writer words published
+* ``shm-untracked-parent-write`` — the untracked arena cells (``factors``,
+  ``grant``) are parent-owned single-writer words published
   in parent-synchronised phases; a worker-side write to any of them is a
   protocol violation.
 
@@ -54,7 +49,6 @@ from repro.analysis.dataflow.cfg import CfgNode
 #: Modules the protocol rules cover.
 SCOPE_MODULES = frozenset(
     {
-        "repro.engine.mp",
         "repro.engine.async_mp",
         "repro.engine.shm",
         "repro.engine.sanitize",
@@ -64,13 +58,13 @@ SCOPE_MODULES = frozenset(
 #: Every shm-arena field the engines allocate.
 ARENA_FIELDS = frozenset(
     {
-        "phi", "phi_new", "halo", "control", "currents", "factors",
+        "phi", "phi_new", "halo", "currents", "factors",
         "fission", "prod", "edge_seq", "worker_seq", "fission_seq", "grant",
     }
 )
 
 #: Parent-owned single-writer cells: workers read, never write.
-PARENT_OWNED = frozenset({"control", "factors", "grant"})
+PARENT_OWNED = frozenset({"factors", "grant"})
 
 #: Ownership roots a worker's partitioned indices derive from.
 OWNERSHIP_ROOTS = ("wid", "owned")
@@ -82,13 +76,12 @@ _GRANT = "grant"
 
 
 @dataclass(frozen=True)
-class _Access:
-    """One statically-detected arena access within a statement."""
+class _Write:
+    """One statically-detected arena write within a statement."""
 
     field: str
     node: ast.AST  # narrowest AST carrying the location
     names: frozenset[str]  # Load names in the partitioning expression
-    is_write: bool
     epoch_slot: bool = False  # grant write indexed by _EPOCH
 
 
@@ -134,7 +127,7 @@ class _FieldMap:
         return out
 
 
-def _target_writes(target: ast.expr, fmap: _FieldMap) -> Iterator[_Access]:
+def _target_writes(target: ast.expr, fmap: _FieldMap) -> Iterator[_Write]:
     """Writes performed by one assignment target."""
     if isinstance(target, (ast.Tuple, ast.List)):
         for elt in target.elts:
@@ -143,127 +136,66 @@ def _target_writes(target: ast.expr, fmap: _FieldMap) -> Iterator[_Access]:
     if isinstance(target, ast.Subscript):
         names = _load_names(target)
         for field in fmap.fields_in(target):
-            yield _Access(
+            yield _Write(
                 field=field,
                 node=target,
                 names=names,
-                is_write=True,
                 epoch_slot=(field == _GRANT and _mentions_epoch(target.slice)),
             )
 
 
-def _call_accesses(call: ast.Call, fmap: _FieldMap) -> Iterator[_Access]:
-    """Accesses performed by one call: TrackedField get/set, fill, out=."""
+def _call_writes(call: ast.Call, fmap: _FieldMap) -> Iterator[_Write]:
+    """Writes performed by one call: ``fill`` and ``out=``."""
     func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.attr == "fill"
+    ):
         field = fmap.field_of(func.value.id)
         if field is not None:
-            if func.attr == "set" and call.args:
-                yield _Access(
-                    field=field,
-                    node=call,
-                    names=_load_names(call.args[0]),
-                    is_write=True,
-                )
-                return
-            if func.attr == "get":
-                yield _Access(
-                    field=field, node=call, names=frozenset(), is_write=False
-                )
-                return
-            if func.attr == "fill":
-                yield _Access(
-                    field=field, node=call, names=frozenset(), is_write=True
-                )
-                return
+            yield _Write(field=field, node=call, names=frozenset())
+            return
     for kw in call.keywords:
         if kw.arg == "out" and isinstance(kw.value, ast.Name):
             field = fmap.field_of(kw.value.id)
             if field is not None:
-                yield _Access(
+                yield _Write(
                     field=field,
                     node=call,
                     names=frozenset({kw.value.id}),
-                    is_write=True,
                 )
 
 
-def _is_barrier_wait(call: ast.Call, wrappers: frozenset[str]) -> bool:
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr == "wait":
-        chain: list[str] = []
-        node: ast.AST = func.value
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            chain.append(node.id)
-        return any("barrier" in part for part in chain)
-    return isinstance(func, ast.Name) and func.id in wrappers
-
-
-def _barrier_wrappers(tree: ast.AST) -> frozenset[str]:
-    """Names of local functions whose body performs a barrier wait."""
-    names: set[str] = set()
-    for func in iter_functions(tree):
-        for sub in ast.walk(func):
-            if isinstance(sub, ast.Call) and _is_barrier_wait(sub, frozenset()):
-                names.add(func.name)
-                break
-    return frozenset(names)
-
-
-def _node_accesses(
-    node: CfgNode, fmap: _FieldMap, wrappers: frozenset[str]
-) -> tuple[list[_Access], bool]:
-    """(arena accesses, performs-a-barrier-wait) for one CFG node."""
-    accesses: list[_Access] = []
-    barrier = False
+def _node_writes(node: CfgNode, fmap: _FieldMap) -> list[_Write]:
+    """Arena writes performed by one CFG node."""
+    writes: list[_Write] = []
     stmt = node.stmt
     if stmt is None:
-        return accesses, barrier
+        return writes
     if isinstance(stmt, ast.Assign):
         for target in stmt.targets:
-            accesses.extend(_target_writes(target, fmap))
+            writes.extend(_target_writes(target, fmap))
     elif isinstance(stmt, ast.AnnAssign):
-        accesses.extend(_target_writes(stmt.target, fmap))
+        writes.extend(_target_writes(stmt.target, fmap))
     elif isinstance(stmt, ast.AugAssign):
         if isinstance(stmt.target, ast.Name):
             field = fmap.field_of(stmt.target.id)
             if field is not None:
-                accesses.append(
-                    _Access(
+                writes.append(
+                    _Write(
                         field=field,
                         node=stmt,
                         names=frozenset({stmt.target.id}),
-                        is_write=True,
                     )
                 )
         else:
-            accesses.extend(_target_writes(stmt.target, fmap))
-    written = {id(a.node) for a in accesses}
+            writes.extend(_target_writes(stmt.target, fmap))
     for part in node_parts(node):
         for sub in ast.walk(part):
             if isinstance(sub, ast.Call):
-                if _is_barrier_wait(sub, wrappers):
-                    barrier = True
-                accesses.extend(_call_accesses(sub, fmap))
-            elif (
-                isinstance(sub, ast.Subscript)
-                and isinstance(sub.ctx, ast.Load)
-                and isinstance(sub.value, ast.Name)
-            ):
-                field = fmap.field_of(sub.value.id)
-                if field is not None and id(sub) not in written:
-                    accesses.append(
-                        _Access(
-                            field=field,
-                            node=sub,
-                            names=frozenset(),
-                            is_write=False,
-                        )
-                    )
-    return accesses, barrier
+                writes.extend(_call_writes(sub, fmap))
+    return writes
 
 
 class ShmProtocolChecker(Checker):
@@ -274,45 +206,33 @@ class ShmProtocolChecker(Checker):
             "path; readers of the bumped sequence would observe stale or "
             "torn payload data"
         ),
-        "shm-missing-barrier": (
-            "shared halo read reachable from a halo write with no "
-            "barrier wait in between; the barrier-phased exchange "
-            "protocol requires write -> barrier -> read"
-        ),
         "shm-overlapping-write": (
             "worker-side write to a shared arena field whose target "
             "expression derives from no ownership root (wid/owned); two "
             "workers' writes could overlap within an epoch"
         ),
         "shm-untracked-parent-write": (
-            "worker-side write to a parent-owned arena cell (control/"
-            "factors/grant); untracked cells are single-writer and only "
-            "the parent publishes them"
+            "worker-side write to a parent-owned arena cell (factors/"
+            "grant); untracked cells are single-writer and only the "
+            "parent publishes them"
         ),
     }
 
     def check(self, src: SourceFile) -> Iterable[Finding]:
         if src.module not in SCOPE_MODULES:
             return
-        wrappers = _barrier_wrappers(src.tree)
         for func in iter_functions(src.tree):
-            yield from self._check_function(src, func, wrappers)
+            yield from self._check_function(src, func)
 
     def _check_function(
-        self,
-        src: SourceFile,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        wrappers: frozenset[str],
+        self, src: SourceFile, func: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
         cfg = build_cfg(func)
         fmap = _FieldMap(arena_handles(cfg, ARENA_FIELDS))
-        per_node: dict[int, tuple[list[_Access], bool]] = {
-            node.id: _node_accesses(node, fmap, wrappers)
-            for node in cfg.statement_nodes()
+        per_node: dict[int, list[_Write]] = {
+            node.id: _node_writes(node, fmap) for node in cfg.statement_nodes()
         }
         yield from self._check_seqlock(src, cfg, per_node)
-        if any(barrier for _, barrier in per_node.values()):
-            yield from self._check_barrier(src, cfg, per_node)
         params = {
             a.arg for a in (*func.args.posonlyargs, *func.args.args)
         }
@@ -324,26 +244,20 @@ class ShmProtocolChecker(Checker):
         self,
         src: SourceFile,
         cfg: Cfg,
-        per_node: Mapping[int, tuple[list[_Access], bool]],
+        per_node: Mapping[int, list[_Write]],
     ) -> Iterator[Finding]:
         """Must-analysis: payload written on every path before the bump."""
-        relevant = False
-        for accesses, _ in per_node.values():
-            if any(
-                a.is_write and (a.field == _EDGE_BUMP or a.field == _GRANT)
-                for a in accesses
-            ):
-                relevant = True
-                break
-        if not relevant:
+        if not any(
+            a.field == _EDGE_BUMP or a.field == _GRANT
+            for writes in per_node.values()
+            for a in writes
+        ):
             return
 
         def transfer(node: CfgNode) -> tuple[frozenset[str], frozenset[str]]:
             gen: set[str] = set()
             kill: set[str] = set()
-            for access in per_node.get(node.id, ([], False))[0]:
-                if not access.is_write:
-                    continue
+            for access in per_node.get(node.id, []):
                 if access.field == _EDGE_PAYLOAD:
                     gen.add(_EDGE_PAYLOAD)
                 elif access.field == _EDGE_BUMP:
@@ -360,9 +274,7 @@ class ShmProtocolChecker(Checker):
             incoming = facts.get(node.id)
             if incoming is None:  # unreachable: cannot violate ordering
                 continue
-            for access in per_node.get(node.id, ([], False))[0]:
-                if not access.is_write:
-                    continue
+            for access in per_node.get(node.id, []):
                 if access.field == _EDGE_BUMP and _EDGE_PAYLOAD not in incoming:
                     yield self.finding(
                         src, access.node, "shm-bump-before-payload",
@@ -382,48 +294,14 @@ class ShmProtocolChecker(Checker):
                         "epoch would read stale keff/pnorm/mode",
                     )
 
-    def _check_barrier(
-        self,
-        src: SourceFile,
-        cfg: Cfg,
-        per_node: Mapping[int, tuple[list[_Access], bool]],
-    ) -> Iterator[Finding]:
-        """May-analysis: a halo write must not reach a halo read directly."""
-
-        def transfer(node: CfgNode) -> tuple[frozenset[str], frozenset[str]]:
-            accesses, barrier = per_node.get(node.id, ([], False))
-            if barrier:
-                return frozenset(), frozenset({_EDGE_PAYLOAD})
-            if any(
-                a.is_write and a.field == _EDGE_PAYLOAD for a in accesses
-            ):
-                return frozenset({_EDGE_PAYLOAD}), frozenset()
-            return frozenset(), frozenset()
-
-        facts = solve_forward(cfg, transfer, join="union")
-        for node in cfg.statement_nodes():
-            incoming = facts.get(node.id) or frozenset()
-            if _EDGE_PAYLOAD not in incoming:
-                continue
-            for access in per_node.get(node.id, ([], False))[0]:
-                if access.field == _EDGE_PAYLOAD and not access.is_write:
-                    yield self.finding(
-                        src, access.node, "shm-missing-barrier",
-                        "halo read reachable from a halo write without an "
-                        "intervening barrier wait; another worker's unpack "
-                        "could observe a partially packed buffer",
-                    )
-
     def _check_worker_writes(
         self,
         src: SourceFile,
-        per_node: Mapping[int, tuple[list[_Access], bool]],
+        per_node: Mapping[int, list[_Write]],
         owned: set[str],
     ) -> Iterator[Finding]:
-        for accesses, _ in per_node.values():
-            for access in accesses:
-                if not access.is_write:
-                    continue
+        for writes in per_node.values():
+            for access in writes:
                 if access.field in PARENT_OWNED:
                     yield self.finding(
                         src, access.node, "shm-untracked-parent-write",

@@ -2,7 +2,7 @@
 
 PR 4 grew a per-file AST linter; this package grows it into a *dataflow*
 verifier. The dynamic shm sanitizer (:mod:`repro.engine.sanitize`) checks
-the barrier/epoch/seqlock protocol on the schedules we happen to execute;
+the epoch/seqlock protocol on the schedules we happen to execute;
 the checkers built on this layer prove the same ordering rules on *every*
 control-flow path of the engine sources — the "catch it before it runs"
 posture the ROADMAP's GPU-backend item demands, since device kernels
@@ -20,11 +20,11 @@ Three building blocks:
 * :mod:`~repro.analysis.dataflow.reachdef` — reaching definitions over
   local names, the derivation closure used to decide whether an index
   expression is worker-partitioned, and the binding scan that maps local
-  names onto shm-arena fields (``phi = fields["phi"]``,
-  ``TrackedField("halo", ...)``).
+  names onto shm-arena fields (``phi = fields["phi"]``, views, and
+  single-handle helper calls).
 
 The shm-protocol checker composes these into a program-point model of the
-engines' barrier/epoch/seqlock ordering; the facts it proves (and what it
+engine's epoch/seqlock ordering; the facts it proves (and what it
 deliberately leaves to the dynamic sanitizer) are tabulated in DESIGN.md.
 """
 

@@ -109,7 +109,7 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=SWEEP_BACKENDS,
         help="Sweep-kernel backend, overriding the config's solver.sweep_backend "
-        "('auto' uses numba when installed, else numpy).",
+        "('auto' defers to $REPRO_SWEEP_BACKEND, else numpy).",
     )
     parser.add_argument(
         "--tracer",
@@ -121,20 +121,20 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=ENGINES,
         help="Execution engine for decomposed solves, overriding the config's "
-        "decomposition.engine ('auto' defers to $REPRO_ENGINE, 'mp' sweeps "
-        "subdomains on real worker processes).",
+        "decomposition.engine ('auto' defers to $REPRO_ENGINE, 'mp-async' "
+        "sweeps subdomains on real worker processes).",
     )
     parser.add_argument(
         "--workers",
         type=int,
         metavar="N",
-        help="Worker processes for the mp engine (default: one per subdomain).",
+        help="Worker processes for the mp-async engine (default: one per subdomain).",
     )
     parser.add_argument(
         "--engine-timeout",
         type=float,
         metavar="SECONDS",
-        help="Engine wait timeout (barrier phases, mailbox waits), overriding "
+        help="Engine wait timeout (grant and mailbox waits), overriding "
         "the config's decomposition.timeout and $REPRO_ENGINE_TIMEOUT.",
     )
     parser.add_argument(

@@ -5,17 +5,19 @@ The communicator/engine layer behind the decomposed drivers
 
 * ``inproc`` — the deterministic in-process simulator over
   :class:`~repro.parallel.comm.SimComm`, kept as the equivalence oracle;
-* ``mp`` — real OS worker processes sweeping subdomains in parallel,
-  with the halo and the global flux in shared-memory SoA buffers;
-* ``mp-async`` — the same worker pool under per-edge epoch-tagged halo
-  mailboxes (dependency-driven, no global barriers).
+* ``mp-async`` — real OS worker processes sweeping subdomains in
+  parallel, with the halo and the global flux in shared-memory SoA
+  buffers and per-edge epoch-tagged halo mailboxes (dependency-driven,
+  no global barriers);
+* ``mp-async-sanitize`` — the same engine and worker body with every
+  flux and halo access logged and checked by the shm race sanitizer.
 
 All engines execute the same ``Route``/``InterfaceExchange`` tables and
 produce identical results and :class:`~repro.parallel.comm.CommStats`
 traffic, so every accounting test runs unchanged against any of them.
 """
 
-from repro.engine.async_mp import AsyncMpEngine
+from repro.engine.async_mp import AsyncMpEngine, MpCommunicator
 from repro.engine.base import (
     ENGINE_TIMEOUT_ENV_VAR,
     EngineResult,
@@ -23,7 +25,6 @@ from repro.engine.base import (
     resolve_engine_timeout,
 )
 from repro.engine.inproc import InprocEngine
-from repro.engine.mp import MpCommunicator, MpEngine
 from repro.engine.pool import ArenaPool, EnginePool
 from repro.engine.problem import (
     DecomposedProblem,
@@ -42,7 +43,6 @@ from repro.engine.registry import (
 from repro.engine.sanitize import (
     FaultSpec,
     SanitizedAsyncMpEngine,
-    SanitizedMpEngine,
     SanitizerReport,
     analyze_events,
 )
@@ -62,12 +62,10 @@ __all__ = [
     "FaultSpec",
     "InprocEngine",
     "MpCommunicator",
-    "MpEngine",
     "Problem2D",
     "Problem3D",
     "RoutePack",
     "SanitizedAsyncMpEngine",
-    "SanitizedMpEngine",
     "SanitizerReport",
     "ShmArena",
     "analyze_events",

@@ -1,12 +1,12 @@
-"""Dependency-driven async multiprocess engine: ``--engine=mp-async``.
+"""The multiprocess execution engine: ``--engine=mp-async``.
 
-The Buffered Synchronous scheme (:mod:`repro.engine.mp`) runs two global
-``Barrier(W+1)`` phases per iteration, so every worker serializes on the
-slowest one twice per epoch and the parent performs the whole production
-reduction, flux normalisation and fission tally serially while the pool
-idles. This engine replaces both barriers with per-neighbour dependency
-tracking, the host-side analogue of the paper's communication/compute
-overlap on multi-GPU nodes:
+The paper's operating mode is one rank per subdomain sweeping in parallel
+with near-neighbour boundary-flux exchange, overlapping communication
+with the sweep. This engine is the host-side realisation of that scheme:
+subdomains are assigned round-robin to ``fork``-ed OS worker processes,
+the global scalar flux and the halo live in
+:class:`~repro.engine.shm.ShmArena` SoA buffers, and there are no global
+barriers — only per-neighbour dependency tracking:
 
 * **per-edge mailboxes** — the halo is double-buffered per directed
   domain-to-domain edge (:class:`~repro.engine.problem.EdgePack`); the
@@ -32,29 +32,34 @@ Double-buffer safety: a worker needs grant ``t+1`` to start iteration
 ``t+1``, and the parent issues that grant only after *every* worker
 finished iteration ``t`` — so a producer can never rewrite the halo
 parity a lagging consumer still has to read. Results stay bitwise equal
-to ``inproc``/``mp``: identical float op order, identical route tables,
+to ``inproc``: identical float op order, identical route tables,
 identical traffic accounting.
+
+There is exactly one worker body, :func:`_worker_loop`. The race
+sanitizer (:mod:`repro.engine.sanitize`) runs that same function with
+access-logging wrappers in its ``fields`` mapping and, for the negative
+control, a ``fault`` site; production passes plain shared-memory views
+and ``fault=None``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import time
 import traceback
+from queue import Empty
+from typing import Any
 
 import numpy as np
 
-from repro.engine.mp import (
-    WORKER_ERRORS,
-    MpEngine,
-    _fmt_bytes,
-    _maybe_pin_worker,
-)
+from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
 from repro.engine.problem import DecomposedProblem, EdgePack
-from repro.engine.base import EngineResult
 from repro.engine.shm import ShmArena
-from repro.errors import CommunicationError, SolverError
+from repro.errors import CommunicationError, ReproError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
+from repro.parallel.comm import CommStats, account_allreduce
 from repro.solver.cmfd import CmfdStats, apply_engine_cmfd
 from repro.solver.convergence import ConvergenceMonitor
 
@@ -70,6 +75,62 @@ RUN, FINAL, HALT = 0, 1, 2
 #: exponentially to 1 ms so oversubscribed boxes (more workers than
 #: cores) don't starve the producers they are waiting on.
 _POLL_MIN, _POLL_MAX = 1e-5, 1e-3
+
+#: What a sweep can realistically throw in a worker: library errors,
+#: numpy shape/value problems, or OS-level faults. Deliberately not
+#: ``Exception`` — a programming error (``TypeError``, ``AttributeError``)
+#: should crash the worker loudly, not be repackaged.
+WORKER_ERRORS = (
+    ReproError,
+    ArithmeticError,
+    ValueError,
+    IndexError,
+    OSError,
+    RuntimeError,
+)
+
+
+class MpCommunicator:
+    """Traffic accounting for the multiprocess engine.
+
+    The halo moves through shared memory, not messages, but the engine
+    tallies the *equivalent* traffic along the route tables so the Eq. (7)
+    accounting tests see identical :class:`CommStats` across engines.
+    """
+
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise CommunicationError(f"communicator size must be >= 1 (got {size})")
+        self.size = int(size)
+        self.stats = CommStats()
+
+    def allreduce_account(self) -> None:
+        account_allreduce(self.stats, self.size)
+
+
+def _maybe_pin_worker(wid: int, pin: bool) -> None:
+    """Pin this worker process to one CPU of the parent's affinity mask.
+
+    Workers are assigned round-robin over the allowed CPUs, so on a box
+    with at least as many cores as workers each sweep process owns a core
+    and the scheduler stops migrating them mid-iteration. Platforms
+    without ``sched_setaffinity`` (macOS) log and run unpinned — pinning
+    is a performance hint, not a correctness requirement.
+    """
+    if not pin:
+        return
+    logger = get_logger("repro.engine.async_mp")
+    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+        logger.warning("worker %d: CPU pinning unsupported on this platform", wid)
+        return
+    allowed = sorted(os.sched_getaffinity(0))
+    cpu = allowed[wid % len(allowed)]
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError as exc:  # pragma: no cover - exotic cgroup configs
+        logger.warning("worker %d: could not pin to CPU %d: %s", wid, cpu, exc)
+        return
+    logger.info("worker %d pinned to CPU %d", wid, cpu)
 
 
 def _wait_value(array, index, threshold, timeout, desc):
@@ -92,7 +153,7 @@ def _wait_value(array, index, threshold, timeout, desc):
     return True
 
 
-def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
+def _worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin, fault=None):
     """Worker body: grant-gated sweeps with per-edge mailbox waits.
 
     Local iteration ``t`` consumes grant ``t+1``, normalises the previous
@@ -103,6 +164,13 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
     ``worker_seq``. The stop mode is checked *before* the normalise
     (``HALT``: a speculative iteration whose results must not clobber the
     converged flux) and after it (``FINAL``: normalise-only last grant).
+
+    ``fields`` maps arena field names to shared arrays. The flux and halo
+    are only ever touched through subscripts, so the sanitizer can hand in
+    access-logging wrappers instead (plus their ``log``, whose events ride
+    home in the worker's report). ``fault`` is ``None`` in production; the
+    sanitizer's negative control names a worker and iteration that skips
+    its edge waits and unpacks the parity producers are writing *now*.
     """
     timer = StageTimer()
     halo = fields["halo"]
@@ -112,6 +180,7 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
     worker_seq, fission_seq = fields["worker_seq"], fields["fission_seq"]
     cmfd = problem.cmfd
     currents, factors = fields.get("currents"), fields.get("factors")
+    log = fields.get("log")
     stalls = 0
     overlapped = 0
     try:
@@ -128,24 +197,27 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
             if t > 0:
                 with timer.stage("worker_normalize"):
                     for d in owned:
-                        block = problem.block(d, phi)
-                        np.divide(problem.block(d, phi_new), pnorm, out=block)
+                        rows = problem.rows(d)
+                        block = phi_new[rows] / pnorm
                         if cmfd is not None:
                             # CMFD prolongation: same divide-then-multiply
                             # element order as the inproc reference, so the
                             # flux stays bitwise equal with acceleration on.
                             block *= factors[problem.block(d, cmfd.cellmap)]
-                        problem.block(d, fission)[:] = problem.fission_source(
-                            d, block
-                        )
+                        phi[rows] = block
+                        fission[rows] = problem.fission_source(d, block)
                 fission_seq[wid] = t
             if mode == FINAL:
                 break
+            inject = fault is not None and fault.worker == wid and fault.iteration == t
+            parity = t % 2 if inject else (t - 1) % 2
             iteration_stalled = False
             for d in owned:
+                rows = problem.rows(d)
+                sweeper = problem.sweeper(d)
                 if t > 0:
                     for e in pack.in_edges(d):
-                        if edge_seq[e] < t:
+                        if not inject and edge_seq[e] < t:
                             with timer.stage("worker_halo_wait"):
                                 _wait_value(
                                     edge_seq, e, t, timeout,
@@ -155,8 +227,8 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
                             iteration_stalled = True
                         with timer.stage("worker_exchange"):
                             tracks, dirs = pack.edge_target(e)
-                            problem.sweeper(d).psi_in[tracks, dirs] = halo[
-                                (t - 1) % 2, pack.edge_routes(e)
+                            sweeper.psi_in[tracks, dirs] = halo[
+                                parity, pack.edge_routes(e)
                             ]
                     if cmfd is not None:
                         # Rescale the stored boundary flux by the grant's
@@ -165,80 +237,152 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
                         # in-edge unpack so received slots are scaled too,
                         # matching inproc's end-of-iteration rescale.
                         with timer.stage("worker_exchange"):
-                            sweeper = problem.sweeper(d)
                             sweeper.current_tally.scale_boundary_flux(
                                 sweeper.psi_in, factors
                             )
                 with timer.stage("worker_sweep"):
-                    problem.block(d, phi_new)[:] = problem.sweep_domain(
-                        d, problem.block(d, phi), keff
-                    )
+                    phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)
                     if cmfd is not None:
                         # Publish before worker_seq: the parent reads the
                         # coarse tallies only after every worker_seq >= t+1,
                         # and grants t+2 only after the coarse solve, so
                         # the single buffer is never overwritten early.
-                        cmfd.domain_rows(currents, d)[:] = problem.sweeper(
-                            d
-                        ).current_tally.take()
+                        cmfd.domain_rows(currents, d)[:] = (
+                            sweeper.current_tally.take()
+                        )
                     for e in pack.out_edges(d):
                         tracks, dirs = pack.edge_source(e)
-                        halo[t % 2, pack.edge_routes(e)] = problem.sweeper(
-                            d
-                        ).psi_out_last[tracks, dirs]
+                        halo[t % 2, pack.edge_routes(e)] = sweeper.psi_out_last[
+                            tracks, dirs
+                        ]
                         edge_seq[e] = t + 1  # publish after the payload
             with timer.stage("worker_sweep"):
                 for d in owned:
-                    prod[d] = problem.production(d, problem.block(d, phi_new))
+                    prod[d] = problem.production(d, phi_new[problem.rows(d)])
             if t > 0 and not iteration_stalled:
                 overlapped += 1
             worker_seq[wid] = t + 1
             t += 1
-        queue.put(
-            (
-                "commx",
-                wid,
-                {
-                    "halo_wait_ns": int(
-                        round(timer.duration("worker_halo_wait") * 1e9)
-                    ),
-                    "neighbor_stalls": stalls,
-                    "epochs_overlapped": overlapped,
-                },
-            )
-        )
-        queue.put(("timers", wid, timer.as_dict()))
+        report = {
+            "timers": timer.as_dict(),
+            "comm_counters": {
+                "halo_wait_ns": int(round(timer.duration("worker_halo_wait") * 1e9)),
+                "neighbor_stalls": stalls,
+                "epochs_overlapped": overlapped,
+            },
+        }
+        if log is not None:
+            report["events"] = log.events
+        queue.put(("report", wid, report))
     except WORKER_ERRORS as exc:
-        get_logger("repro.engine.async_mp").error(
-            "async worker %d failed: %s", wid, exc
-        )
+        get_logger("repro.engine.async_mp").error("worker %d failed: %s", wid, exc)
         queue.put(("error", wid, traceback.format_exc()))
         raise SystemExit(1)
 
 
-class AsyncMpEngine(MpEngine):
-    """Mailbox/epoch multiprocess engine (dependency-driven halo exchange).
+class AsyncMpEngine(ExecutionEngine):
+    """Shared-memory domain-parallel engine over forked worker processes.
 
-    Inherits the worker-pool mechanics of :class:`MpEngine` (fork checks,
-    worker resolution, payload collection, failure surfacing, the
-    sanitizer subclass hooks) and replaces the barrier-phased ``solve``
-    with the grant/harvest protocol described in the module docstring.
+    Runs the grant/harvest protocol described in the module docstring.
+    Hooks for the race-sanitizing subclass
+    (:class:`~repro.engine.sanitize.SanitizedAsyncMpEngine`):
+    :meth:`_prepare_solve` runs once the worker count is known,
+    :meth:`_worker_fields` picks each worker's ``fields`` mapping,
+    :attr:`fault` is passed to every worker, and :meth:`_result_extras`
+    folds the worker reports into extra result fields.
     """
 
     name = "mp-async"
 
-    #: Each worker enqueues ("commx", ...) then ("timers", ...).
-    _messages_per_worker = 2
+    #: Injected fault site handed to every worker (``None`` in production).
+    fault: Any = None
 
-    def _worker_target(self):
-        return _async_worker_loop
+    def __init__(
+        self,
+        workers: int | None = None,
+        timeout: float | None = None,
+        pin_workers: bool = False,
+    ) -> None:
+        self.workers = workers
+        self.timeout = resolve_engine_timeout(timeout)
+        self.pin_workers = bool(pin_workers)
+        #: Optional :class:`~repro.engine.pool.ArenaPool` recycling the
+        #: shared segments across solves (attached by an EnginePool host;
+        #: ``None`` keeps the batch per-solve map/unlink behaviour).
+        self.arena_pool = None
+        self._logger = get_logger("repro.engine.async_mp")
 
-    def _result_extras(self, payloads: dict[str, dict[int, object]]) -> dict:
-        totals = {"halo_wait_ns": 0, "neighbor_stalls": 0, "epochs_overlapped": 0}
-        for counters in payloads.get("commx", {}).values():
-            for name in totals:
-                totals[name] += int(counters[name])  # type: ignore[index]
-        return {"comm_counters": totals}
+    def _prepare_solve(self, num_workers: int) -> None:
+        """Called once per solve after the worker count is resolved."""
+
+    def _worker_fields(self, wid: int, fields: dict[str, Any]) -> dict[str, Any]:
+        """The ``fields`` mapping worker ``wid`` runs on."""
+        return fields
+
+    def _result_extras(self, reports: dict[int, dict]) -> dict:
+        """Extra :class:`EngineResult` fields from the worker reports."""
+        return {}
+
+    def create_communicator(self, size: int) -> MpCommunicator:
+        return MpCommunicator(size)
+
+    def resolve_workers(self, num_domains: int) -> int:
+        """Worker count: requested (or one per domain), capped by domains."""
+        requested = self.workers or num_domains
+        return max(1, min(int(requested), num_domains))
+
+    def _acquire_arena(self, shapes: dict) -> tuple[ShmArena, bool]:
+        """A zeroed arena for ``shapes``: pooled when a host attached a
+        pool (second element reports a reuse hit), else freshly mapped."""
+        if self.arena_pool is None:
+            return ShmArena(shapes), False
+        return self.arena_pool.acquire(shapes)
+
+    def _release_arena(self, arena: ShmArena) -> None:
+        if self.arena_pool is None:
+            arena.close(unlink=True)
+        else:
+            self.arena_pool.release(arena)
+
+    def _raise_worker_failure(self, queue, procs, window: float = 5.0) -> None:
+        """A worker died: surface the error that actually caused it.
+
+        The error queue is drained *before* giving up on the window, and a
+        worker that died without enqueueing anything (``SIGKILL``, a hard
+        crash) is identified by its exit status instead of being reported
+        as an anonymous timeout. Waiting blocks in the queue's timed
+        ``get`` (the pipe read wakes us the moment a report lands) — never
+        a sleep/poll loop.
+        """
+        deadline = time.monotonic() + window
+        reports: dict[int, str] = {}
+        while time.monotonic() < deadline:
+            try:
+                kind, wid, payload = queue.get(timeout=0.2)
+            except Empty:
+                if reports:
+                    break  # collected the racing siblings too; report now
+                if any(not p.is_alive() and p.exitcode for p in procs):
+                    break  # died without a report; nothing more is coming
+                continue
+            if kind == "error":
+                reports.setdefault(int(wid), str(payload))
+        # One last sweep: reports enqueued between the checks above.
+        while True:
+            try:
+                kind, wid, payload = queue.get_nowait()
+            except Empty:
+                break
+            if kind == "error":
+                reports.setdefault(int(wid), str(payload))
+        lines = [f"worker {wid}:\n{text}" for wid, text in sorted(reports.items())]
+        lines += [
+            f"worker {wid} died without a report ({_describe_exit(proc.exitcode)})"
+            for wid, proc in enumerate(procs)
+            if not proc.is_alive() and proc.exitcode and wid not in reports
+        ]
+        detail = "\n".join(lines) if lines else "worker died without a report"
+        raise SolverError(f"{self.name} engine worker failure:\n{detail}")
 
     def _parent_wait_all(self, array, threshold: int, queue, procs,
                          desc: str) -> None:
@@ -260,11 +404,35 @@ class AsyncMpEngine(MpEngine):
             time.sleep(delay)  # repro: ignore[blocking-sleep]
             delay = min(delay * 2.0, _POLL_MAX)
 
+    def _collect_reports(self, queue, procs, num_workers: int) -> dict[int, dict]:
+        """Collect the one end-of-run report each worker enqueues.
+
+        Blocks in timed ``get`` calls (the pipe read wakes us the moment a
+        report lands — no poll loop), capped at 0.2 s so a worker dying
+        mid-wait is noticed on the next liveness check. Stops early once
+        every worker has exited and a grace ``get`` comes back empty: no
+        report can arrive from a dead sender.
+        """
+        reports: dict[int, dict] = {}
+        deadline = time.monotonic() + 10.0
+        while len(reports) < num_workers and time.monotonic() < deadline:
+            all_dead = all(not p.is_alive() for p in procs)
+            try:
+                kind, wid, payload = queue.get(timeout=0.2)
+            except Empty:
+                if all_dead:
+                    break
+                continue
+            if kind == "error":
+                raise SolverError(f"{self.name} engine worker {wid} failed:\n{payload}")
+            reports[wid] = payload
+        return reports
+
     def solve(self, problem: DecomposedProblem, comm) -> EngineResult:
         ctx_methods = multiprocessing.get_all_start_methods()
         if "fork" not in ctx_methods:
             raise SolverError(
-                "the mp-async engine needs the 'fork' start method (workers "
+                f"the {self.name} engine needs the 'fork' start method (workers "
                 "inherit tracking products and sweep plans); platform offers "
                 f"{ctx_methods}"
             )
@@ -272,7 +440,7 @@ class AsyncMpEngine(MpEngine):
         timer = StageTimer()
         D = problem.num_domains
         W = self.resolve_workers(D)
-        self._prepare_solve(problem, W)
+        self._prepare_solve(W)
         pack = EdgePack(problem)
         slot = pack.slot_shape if pack.num_routes else problem.slot_shape
         cmfd = problem.cmfd
@@ -292,34 +460,19 @@ class AsyncMpEngine(MpEngine):
             shapes["currents"] = (max(cmfd.total_pair_rows, 1), problem.num_groups)
             shapes["factors"] = (cmfd.num_cells, problem.num_groups)
         arena, arena_hit = self._acquire_arena(shapes)
-        phi, phi_new = arena["phi"], arena["phi_new"]
-        fission, prod = arena["fission"], arena["prod"]
-        worker_seq, fission_seq = arena["worker_seq"], arena["fission_seq"]
-        grant = arena["grant"]
-        currents = arena["currents"] if cmfd is not None else None
-        factors = arena["factors"] if cmfd is not None else None
-        fields = {
-            "phi": phi,
-            "phi_new": phi_new,
-            "halo": arena["halo"],
-            "fission": fission,
-            "prod": prod,
-            "edge_seq": arena["edge_seq"],
-            "worker_seq": worker_seq,
-            "fission_seq": fission_seq,
-            "grant": grant,
-        }
-        if cmfd is not None:
-            fields["currents"] = currents
-            fields["factors"] = factors
+        fields: dict[str, Any] = {name: arena[name] for name in shapes}
+        phi, phi_new = fields["phi"], fields["phi_new"]
+        fission, prod = fields["fission"], fields["prod"]
+        worker_seq, fission_seq = fields["worker_seq"], fields["fission_seq"]
+        grant = fields["grant"]
+        currents, factors = fields.get("currents"), fields.get("factors")
         queue = ctx.Queue()
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs = [
             ctx.Process(
-                target=self._worker_target(),
-                args=(problem, pack, w, owned[w], fields, queue, self.timeout,
-                      self.pin_workers)
-                + self._worker_extra_args(w),
+                target=_worker_loop,
+                args=(problem, pack, w, owned[w], self._worker_fields(w, fields),
+                      queue, self.timeout, self.pin_workers, self.fault),
                 daemon=True,
                 name=f"repro-{self.name}-worker-{w}",
             )
@@ -393,10 +546,18 @@ class AsyncMpEngine(MpEngine):
                         issue(t + 3, keff, new_production, HALT)
                         break
                 scalar_flux = phi.copy()
-                payloads = self._collect_payloads(queue, procs, W)
+                reports = self._collect_reports(queue, procs, W)
             if cmfd_stats is not None:
                 cmfd_stats.seconds = timer.duration("engine_solve/cmfd")
-            extras = self._merge_arena_counters(self._result_extras(payloads), arena_hit)
+            comm_counters = {
+                "halo_wait_ns": 0, "neighbor_stalls": 0, "epochs_overlapped": 0,
+            }
+            for report in reports.values():
+                for key, value in report["comm_counters"].items():
+                    comm_counters[key] += int(value)
+            if self.arena_pool is not None:
+                comm_counters["arena_reuse_hits"] = int(arena_hit)
+                comm_counters["arena_reuse_misses"] = int(not arena_hit)
             return EngineResult(
                 keff=keff,
                 scalar_flux=scalar_flux,
@@ -407,10 +568,10 @@ class AsyncMpEngine(MpEngine):
                 cmfd_stats=cmfd_stats.as_dict() if cmfd_stats is not None else {},
                 num_workers=W,
                 worker_timers=sorted(
-                    (wid, payload)
-                    for wid, payload in payloads.get("timers", {}).items()
+                    (wid, report["timers"]) for wid, report in reports.items()
                 ),
-                **extras,
+                comm_counters=comm_counters,
+                **self._result_extras(reports),
             )
         finally:
             # Unblock any surviving worker: a HALT grant far in the future
@@ -424,5 +585,42 @@ class AsyncMpEngine(MpEngine):
                     proc.terminate()
                     proc.join(timeout=5.0)
             del phi, phi_new, fission, prod, worker_seq, fission_seq, grant
-            del currents, factors, fields
+            del currents, factors, fields, procs
             self._release_arena(arena)
+
+    def _allreduce(self, problem: DecomposedProblem, comm: MpCommunicator,
+                   flux: np.ndarray) -> float:
+        """Fission production summed in rank order, with traffic accounting.
+
+        Matches ``SimComm.allreduce`` over the same per-rank list: ``sum``
+        of the contributions in ascending rank order, plus the modelled
+        recursive-doubling byte counts.
+        """
+        values = [
+            problem.production(d, problem.block(d, flux))
+            for d in range(problem.num_domains)
+        ]
+        comm.allreduce_account()
+        return sum(values)
+
+
+def _describe_exit(exitcode: int | None) -> str:
+    """Human-readable form of a ``Process.exitcode``."""
+    if exitcode is None:
+        return "still running"
+    if exitcode < 0:
+        signum = -exitcode
+        try:
+            name = signal.Signals(signum).name
+        except ValueError:
+            name = f"signal {signum}"
+        return f"killed by {name}"
+    return f"exit code {exitcode}"
+
+
+def _fmt_bytes(n: float) -> str:
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if n < 1024 or unit == "GiB":
+            return f"{n:.0f}{unit}" if unit == "B" else f"{n:.1f}{unit}"
+        n /= 1024
+    return f"{n}B"  # pragma: no cover

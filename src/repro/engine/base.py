@@ -8,12 +8,12 @@ subdomain sweeps execute and how the halo moves:
 
 * ``inproc`` — the deterministic single-process simulator (the historical
   behaviour, kept as the equivalence oracle);
-* ``mp`` — real OS worker processes over ``multiprocessing.shared_memory``
-  SoA buffers with a barrier-phased halo exchange (the paper's Buffered
-  Synchronous scheme);
-* ``mp-async`` — the same worker pool under the dependency-driven mailbox
-  protocol: per-edge epoch-tagged halo mailboxes instead of global
-  barriers, so a worker only ever waits on its own neighbours.
+* ``mp-async`` — real OS worker processes over
+  ``multiprocessing.shared_memory`` SoA buffers under the
+  dependency-driven mailbox protocol: per-edge epoch-tagged halo
+  mailboxes instead of global barriers, so a worker only ever waits on
+  its own neighbours (``mp-async-sanitize`` runs it under the race
+  sanitizer).
 
 All consume the same :class:`~repro.engine.problem.DecomposedProblem`
 adapter and the same routing tables, so traffic accounting and results are
@@ -37,7 +37,7 @@ from repro.solver.convergence import ConvergenceMonitor
 #: is CLI > config > environment > :data:`DEFAULT_ENGINE_TIMEOUT`.
 ENGINE_TIMEOUT_ENV_VAR = "REPRO_ENGINE_TIMEOUT"
 
-#: Fallback wait timeout (seconds) for barrier phases and mailbox waits.
+#: Fallback wait timeout (seconds) for grant and mailbox waits.
 DEFAULT_ENGINE_TIMEOUT = 600.0
 
 
@@ -79,9 +79,9 @@ class EngineResult:
     num_workers: int = 1
     #: Per-worker ``(worker_id, stage -> seconds)`` timing payloads.
     worker_timers: list[tuple[int, dict[str, float]]] = field(default_factory=list)
-    #: Race-sanitizer report (``mp-sanitize`` engine only, else ``None``).
+    #: Race-sanitizer report (``mp-async-sanitize`` engine only, else ``None``).
     sanitizer: Any = None
-    #: Engine-side communication counters (``mp-async`` only): totals of
+    #: Engine-side communication counters (multiprocess engines only): totals of
     #: ``halo_wait_ns``, ``neighbor_stalls`` and ``epochs_overlapped``
     #: summed across workers, fed into the observability CounterSet.
     comm_counters: dict[str, int] = field(default_factory=dict)

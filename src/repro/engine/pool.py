@@ -17,7 +17,7 @@ expensive parts resident between requests:
   through :func:`~repro.engine.registry.resolve_engine` unchanged, so the
   application layer needs no special casing.
 
-Worker *processes* are not pooled: the mp engines move the problem to the
+Worker *processes* are not pooled: the multiprocess engines move the problem to the
 workers by ``fork`` inheritance (tracking products and sweep plans are
 process-private), so workers are per-solve by construction. What survives
 across requests is everything fork makes cheap to rebuild around: the

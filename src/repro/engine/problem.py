@@ -7,14 +7,14 @@ lattice geometry (:class:`~repro.parallel.driver.DecomposedSolver`) or a
 sweeps, flux blocks, reductions, and the interface routing table — so one
 engine implementation serves both drivers.
 
-:class:`RoutePack` precompiles the route table into per-domain index
-arrays for vectorised halo packing/unpacking, plus the per-pair traffic
-totals that keep the ``mp`` engine's :class:`~repro.parallel.comm.CommStats`
-bitwise identical to the ``inproc`` simulator's. :class:`EdgePack` refines
-the same table down to directed domain-to-domain *edges* — the dependency
-granularity of the ``mp-async`` mailbox protocol, where each edge carries
-its own epoch sequence number and a consumer only waits for the edges it
-actually reads.
+:class:`RoutePack` validates the route table and holds the per-pair
+traffic totals that keep the multiprocess engine's
+:class:`~repro.parallel.comm.CommStats` bitwise identical to the
+``inproc`` simulator's. :class:`EdgePack` refines the same table down to
+directed domain-to-domain *edges* — the dependency granularity of the
+``mp-async`` mailbox protocol, where each edge carries its own epoch
+sequence number and a consumer only waits for the edges it actually
+reads.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ class DecomposedProblem(ABC):
     cmfd = None
 
     @abstractmethod
+    def rows(self, d: int) -> slice:
+        """Domain ``d``'s contiguous row range of a global (R_total, ...) array."""
+
     def block(self, d: int, array: np.ndarray) -> np.ndarray:
-        """Domain ``d``'s contiguous slice of a global (R_total, ...) array."""
+        """Domain ``d``'s slice of a global (R_total, ...) array."""
+        return array[self.rows(d)]
 
     @abstractmethod
     def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
@@ -97,9 +101,9 @@ class Problem2D(DecomposedProblem):
         self.source_tolerance = solver.source_tolerance
         self.cmfd = getattr(solver, "cmfd_problem", None)
 
-    def block(self, d: int, array: np.ndarray) -> np.ndarray:
+    def rows(self, d: int) -> slice:
         dom = self._solver.domains[d]
-        return array[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs]
+        return slice(dom.fsr_offset, dom.fsr_offset + dom.num_fsrs)
 
     def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
         dom = self._solver.domains[d]
@@ -132,9 +136,9 @@ class Problem3D(DecomposedProblem):
         self.source_tolerance = solver.source_tolerance
         self.cmfd = getattr(solver, "cmfd_problem", None)
 
-    def block(self, d: int, array: np.ndarray) -> np.ndarray:
+    def rows(self, d: int) -> slice:
         dom = self._solver.domains[d]
-        return array[dom["fsr_offset"] : dom["fsr_offset"] + dom["geometry"].num_fsrs]
+        return slice(dom["fsr_offset"], dom["fsr_offset"] + dom["geometry"].num_fsrs)
 
     def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
         dom = self._solver.domains[d]
@@ -154,13 +158,13 @@ class Problem3D(DecomposedProblem):
 
 
 class RoutePack:
-    """Vectorised form of a problem's routing table.
+    """Traffic accounting and validation over a problem's routing table.
 
-    Per domain, the pack holds the route indices, track ids and direction
-    bits of its outgoing and incoming interface slots, so workers can move
-    the whole halo with two fancy-indexed copies instead of a Python loop
-    per route. Destination slots must be unique — a duplicate would make
-    the vectorised scatter order-dependent — and are validated here.
+    Destination slots must be unique — a duplicate would make the
+    vectorised halo scatter order-dependent — and are validated here;
+    :meth:`account_iteration` keeps the multiprocess engine's
+    :class:`~repro.parallel.comm.CommStats` bitwise identical to the
+    ``inproc`` simulator's.
     """
 
     def __init__(self, problem: DecomposedProblem) -> None:
@@ -175,33 +179,7 @@ class RoutePack:
                 "route table has duplicate destination slots; the vectorised "
                 "halo exchange requires one writer per (domain, track, dir)"
             )
-
-        def _pack(selector):
-            by_domain: dict[int, list[tuple[int, int, int]]] = {}
-            for i, r in enumerate(routes):
-                dom, track, dirn = selector(i, r)
-                by_domain.setdefault(dom, []).append((i, track, dirn))
-            return {
-                dom: tuple(np.array(col, dtype=np.intp) for col in zip(*rows))
-                for dom, rows in by_domain.items()
-            }
-
-        self._out = _pack(lambda i, r: (r.src_domain, r.src_track, r.src_dir))
-        self._in = _pack(lambda i, r: (r.dst_domain, r.dst_track, r.dst_dir))
         self.pair_counts = Counter((r.src_domain, r.dst_domain) for r in routes)
-        self._empty = (
-            np.empty(0, dtype=np.intp),
-            np.empty(0, dtype=np.intp),
-            np.empty(0, dtype=np.intp),
-        )
-
-    def outgoing(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(route_idx, tracks, dirs)`` of slots leaving domain ``d``."""
-        return self._out.get(d, self._empty)
-
-    def incoming(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(route_idx, tracks, dirs)`` of slots entering domain ``d``."""
-        return self._in.get(d, self._empty)
 
     def account_iteration(self, stats: CommStats) -> None:
         """Tally one iteration's halo traffic exactly as ``inproc`` would.

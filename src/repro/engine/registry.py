@@ -2,10 +2,10 @@
 
 Mirrors the sweep-backend and tracer registries: engines register by name,
 selection order is explicit argument > ``REPRO_ENGINE`` environment
-variable > default. Unlike the sweep backends there is no silent fallback
-— asking for an engine the platform cannot run (``mp`` without ``fork``)
-fails loudly at solve time, because the execution semantics the user asked
-for (real parallel processes) cannot be substituted quietly.
+variable > default. There is no silent fallback — asking for an engine
+the platform cannot run (``mp-async`` without ``fork``) fails loudly at
+solve time, because the execution semantics the user asked for (real
+parallel processes) cannot be substituted quietly.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from repro.engine.base import (
     resolve_engine_timeout,
 )
 from repro.engine.inproc import InprocEngine
-from repro.engine.mp import MpEngine
-from repro.engine.sanitize import SanitizedAsyncMpEngine, SanitizedMpEngine
+from repro.engine.sanitize import SanitizedAsyncMpEngine
 from repro.errors import ConfigError
 
 __all__ = [
@@ -55,18 +54,6 @@ def register_engine(name: str, factory: Callable[..., ExecutionEngine]) -> None:
 
 register_engine(
     "inproc", lambda workers=None, timeout=None, pin_workers=False: InprocEngine()
-)
-register_engine(
-    "mp",
-    lambda workers=None, timeout=None, pin_workers=False: MpEngine(
-        workers=workers, timeout=timeout, pin_workers=pin_workers
-    ),
-)
-register_engine(
-    "mp-sanitize",
-    lambda workers=None, timeout=None, pin_workers=False: SanitizedMpEngine(
-        workers=workers, timeout=timeout, pin_workers=pin_workers
-    ),
 )
 register_engine(
     "mp-async",

@@ -22,22 +22,22 @@ TRACK_STORAGE_METHODS = ("EXP", "OTF", "MANAGER", "CCM")
 #: Axial segmentation algorithms supported for 3D tracks (Sec. 2.1).
 AXIAL_METHODS = ("OTF", "CCM")
 
-#: Sweep-kernel backends (``auto`` resolves to numba when importable).
-SWEEP_BACKENDS = ("auto", "numpy", "numba", "reference")
+#: Sweep-kernel backends (``auto`` defers to ``REPRO_SWEEP_BACKEND``,
+#: default ``numpy``).
+SWEEP_BACKENDS = ("auto", "numpy", "reference")
 
 #: 2D tracers (``auto`` resolves to the wavefront ``batch`` tracer).
 TRACERS = ("auto", "batch", "reference")
 
 #: Execution engines for decomposed solves (:mod:`repro.engine`):
 #: ``auto`` defers to ``REPRO_ENGINE`` (default ``inproc``), ``inproc`` is
-#: the deterministic single-process simulator, ``mp`` runs subdomains on
-#: real OS worker processes over shared memory with barrier-phased halo
-#: exchange, ``mp-async`` replaces the barriers with per-edge epoch-tagged
-#: halo mailboxes (dependency-driven, communication overlapped with
-#: compute), and the ``*-sanitize`` variants run the same schedules under
-#: the shm race sanitizer (identical results, every shared access audited
-#: against the protocol).
-ENGINES = ("auto", "inproc", "mp", "mp-sanitize", "mp-async", "mp-async-sanitize")
+#: the deterministic single-process simulator, ``mp-async`` runs
+#: subdomains on real OS worker processes over shared memory with
+#: per-edge epoch-tagged halo mailboxes (dependency-driven, communication
+#: overlapped with compute), and ``mp-async-sanitize`` runs the same
+#: worker body under the shm race sanitizer (identical results, every
+#: flux and halo access audited against the protocol).
+ENGINES = ("auto", "inproc", "mp-async", "mp-async-sanitize")
 
 #: Exponential-kernel evaluation modes.
 EXP_MODES = ("table", "exact")
@@ -120,9 +120,9 @@ class DecompositionConfig:
     nz: int = 1
     #: Execution engine for decomposed solves (see :data:`ENGINES`).
     engine: str = "auto"
-    #: Worker processes for the ``mp`` engine; 0 means one per subdomain.
+    #: Worker processes for the ``mp-async`` engines; 0 means one per subdomain.
     workers: int = 0
-    #: Engine wait timeout in seconds (barrier phases, mailbox waits).
+    #: Engine wait timeout in seconds (grant and mailbox waits).
     #: ``None`` defers to ``REPRO_ENGINE_TIMEOUT``, then the built-in
     #: default; the resolution order is CLI > config > env > default.
     timeout: float | None = None
@@ -202,7 +202,8 @@ class SolverConfig:
     num_groups: int = 7
     storage_method: str = "MANAGER"
     resident_memory_bytes: int = DEFAULT_RESIDENT_MEMORY_BYTES
-    #: Sweep-kernel backend; ``auto`` means numba when available, else numpy.
+    #: Sweep-kernel backend; ``auto`` defers to ``REPRO_SWEEP_BACKEND``,
+    #: else numpy.
     sweep_backend: str = "auto"
     #: Exponential kernel: interpolation ``table`` or ``exact`` expm1.
     exp_mode: str = "table"

@@ -11,7 +11,7 @@ tree obeys two structural invariants (checked by
   children are timed strictly inside the parent's context.
 
 A span whose ``seconds`` is ``None`` is a *container*: it was never timed
-itself (e.g. the per-worker group under the ``mp`` engine, whose children
+itself (e.g. the per-worker group under the ``mp-async`` engine, whose children
 ran on another process's clock) and its duration is defined as the sum of
 its children.
 

@@ -10,9 +10,9 @@ described in Sec. 2.1.
 
 *How* the iteration executes is delegated to a pluggable execution engine
 (:mod:`repro.engine`): ``inproc`` runs every sweep sequentially through
-the deterministic simulated communicator, ``mp`` distributes subdomains
-over real OS worker processes with a shared-memory halo exchange. Both
-produce identical results and traffic accounting.
+the deterministic simulated communicator, ``mp-async`` distributes
+subdomains over real OS worker processes with a shared-memory halo
+exchange. Both produce identical results and traffic accounting.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class DecomposedResult:
     comm_allreduce_calls: int = 0
     engine: str = "inproc"
     num_workers: int = 1
-    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (``mp`` only).
+    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (multiprocess engines only).
     worker_timers: list = field(default_factory=list)
-    #: Race-sanitizer report (``mp-sanitize`` engine only, else ``None``).
+    #: Race-sanitizer report (``mp-async-sanitize`` engine only, else ``None``).
     sanitizer: object = None
     #: Engine-side comm counters (``mp-async`` only, else empty).
     comm_counters: dict = field(default_factory=dict)

@@ -70,9 +70,9 @@ class ZDecomposedResult:
     comm_allreduce_calls: int = 0
     engine: str = "inproc"
     num_workers: int = 1
-    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (``mp`` only).
+    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (multiprocess engines only).
     worker_timers: list = field(default_factory=list)
-    #: Race-sanitizer report (``mp-sanitize`` engine only, else ``None``).
+    #: Race-sanitizer report (``mp-async-sanitize`` engine only, else ``None``).
     sanitizer: object = None
     #: Engine-side comm counters (``mp-async`` only, else empty).
     comm_counters: dict = field(default_factory=dict)

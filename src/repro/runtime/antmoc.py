@@ -203,7 +203,7 @@ class AntMocApplication:
             )
 
     def _record_worker_timers(self, result) -> None:
-        """Roll per-worker stage timers into the run log (``mp`` engine).
+        """Roll per-worker stage timers into the run log (multiprocess engines).
 
         Each worker stage contributes two ``transport_solving/…`` rows:
         ``_sum`` (total CPU seconds across workers) and ``_max`` (critical

@@ -5,7 +5,6 @@ from repro.solver.backends import (
     KernelTimings,
     SweepPlan,
     TrackTopology,
-    available_backends,
     get_backend,
     resolve_backend,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "KernelTimings",
     "SweepPlan",
     "TrackTopology",
-    "available_backends",
     "evaluator_from_config",
     "get_backend",
     "resolve_backend",

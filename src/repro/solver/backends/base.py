@@ -10,7 +10,7 @@ maps onto GPU threads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class KernelBackend:
 
     #: Registry key (config value, CLI flag, env var).
     name: str = "abstract"
-
-    def is_available(self) -> bool:
-        """Whether the backend can run in this process."""
-        return True
 
     def sweep2d(
         self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext

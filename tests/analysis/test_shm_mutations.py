@@ -1,7 +1,7 @@
 """Seeded-mutation corpus for the shm-protocol checker.
 
 Each case takes the *real* engine source, applies one textual mutation
-that reintroduces a protocol bug the engines are carefully written to
+that reintroduces a protocol bug the engine is carefully written to
 avoid, and asserts the checker flags it — plus the controls: the
 unmutated sources are clean, so every finding on a mutant is signal.
 
@@ -18,9 +18,16 @@ from repro.analysis import analyze_source
 
 REPO = Path(__file__).resolve().parents[2]
 
-MP = "src/repro/engine/mp.py"
 ASYNC_MP = "src/repro/engine/async_mp.py"
 SANITIZE = "src/repro/engine/sanitize.py"
+
+#: The worker body's halo pack and the edge publish that must follow it.
+HALO_PACK = (
+    "                        halo[t % 2, pack.edge_routes(e)] = sweeper.psi_out_last[\n"
+    "                            tracks, dirs\n"
+    "                        ]\n"
+)
+EDGE_PUBLISH = "                        edge_seq[e] = t + 1  # publish after the payload\n"
 
 
 def _source(rel: str) -> str:
@@ -38,9 +45,9 @@ def _rules(text: str, path: str) -> list[str]:
 
 
 class TestControls:
-    """The shipped engines pass their own protocol checker."""
+    """The shipped engine passes its own protocol checker."""
 
-    @pytest.mark.parametrize("rel", [MP, ASYNC_MP, SANITIZE])
+    @pytest.mark.parametrize("rel", [ASYNC_MP, SANITIZE])
     def test_unmutated_source_is_clean(self, rel):
         findings = analyze_source(_source(rel), path=rel)
         assert findings == [], "\n".join(f.render() for f in findings)
@@ -50,18 +57,8 @@ class TestSeqlockMutations:
     def test_bump_before_payload_in_async_worker(self):
         # Swap the halo payload write and the edge_seq publish: readers
         # polling edge_seq would consume the previous epoch's buffer.
-        old = (
-            "                        halo[t % 2, pack.edge_routes(e)] = problem.sweeper(\n"
-            "                            d\n"
-            "                        ).psi_out_last[tracks, dirs]\n"
-            "                        edge_seq[e] = t + 1  # publish after the payload\n"
-        )
-        new = (
-            "                        edge_seq[e] = t + 1\n"
-            "                        halo[t % 2, pack.edge_routes(e)] = problem.sweeper(\n"
-            "                            d\n"
-            "                        ).psi_out_last[tracks, dirs]\n"
-        )
+        old = HALO_PACK + EDGE_PUBLISH
+        new = "                        edge_seq[e] = t + 1\n" + HALO_PACK
         mutant = _mutate(_source(ASYNC_MP), old, new)
         assert "shm-bump-before-payload" in _rules(mutant, ASYNC_MP)
 
@@ -83,74 +80,38 @@ class TestSeqlockMutations:
         mutant = _mutate(_source(ASYNC_MP), old, new)
         assert "shm-bump-before-payload" in _rules(mutant, ASYNC_MP)
 
-    def test_bump_before_payload_in_sanitized_worker(self):
-        # Same swap through the TrackedField wrapper: the checker must
-        # see through t_halo.set(...) to the underlying halo field.
-        old = (
-            "                        t_halo.set(\n"
-            "                            flat, problem.sweeper(d).psi_out_last[tracks, dirs]\n"
-            "                        )\n"
-            "                        edge_seq[e] = t + 1  # publish after the payload\n"
-        )
-        new = (
-            "                        edge_seq[e] = t + 1\n"
-            "                        t_halo.set(\n"
-            "                            flat, problem.sweeper(d).psi_out_last[tracks, dirs]\n"
-            "                        )\n"
-        )
-        mutant = _mutate(_source(SANITIZE), old, new)
-        assert "shm-bump-before-payload" in _rules(mutant, SANITIZE)
-
-
-class TestBarrierMutations:
-    def test_missing_barrier_between_pack_and_unpack(self):
-        # Drop the barrier separating the halo pack from the unpack:
-        # a fast worker could read a neighbour's half-written buffer.
-        old = (
-            "                        halo[idx] = sweeper.psi_out_last[tracks, dirs]\n"
-            "            barrier.wait(timeout)\n"
-        )
-        new = (
-            "                        halo[idx] = sweeper.psi_out_last[tracks, dirs]\n"
-        )
-        mutant = _mutate(_source(MP), old, new)
-        assert "shm-missing-barrier" in _rules(mutant, MP)
+    def test_publish_without_payload(self):
+        # Drop the pack but keep the publish: consumers would unpack
+        # whatever the edge's halo slots held two iterations ago.
+        mutant = _mutate(_source(ASYNC_MP), HALO_PACK + EDGE_PUBLISH, EDGE_PUBLISH)
+        assert "shm-bump-before-payload" in _rules(mutant, ASYNC_MP)
 
 
 class TestOwnershipMutations:
     def test_overlapping_halo_write(self):
-        # Write the whole halo instead of this worker's outgoing slots:
+        # Write the whole halo instead of this worker's out-edge slots:
         # concurrent workers' writes would overlap within an epoch.
-        old = "                        halo[idx] = sweeper.psi_out_last[tracks, dirs]\n"
         new = "                        halo[:] = 0.0\n"
-        mutant = _mutate(_source(MP), old, new)
-        assert "shm-overlapping-write" in _rules(mutant, MP)
+        mutant = _mutate(_source(ASYNC_MP), HALO_PACK, new)
+        assert "shm-overlapping-write" in _rules(mutant, ASYNC_MP)
 
     def test_whole_array_flux_write(self):
         # Replace the owned-block store with a whole-array store.
-        old = (
-            "                    problem.block(d, phi_new)[:] = problem.sweep_domain(\n"
-            "                        d, problem.block(d, phi), keff\n"
-            "                    )\n"
-        )
-        new = (
-            "                    phi_new[:] = problem.sweep_domain(\n"
-            "                        d, problem.block(d, phi), keff\n"
-            "                    )\n"
-        )
-        mutant = _mutate(_source(MP), old, new)
-        assert "shm-overlapping-write" in _rules(mutant, MP)
+        old = "                    phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)\n"
+        new = "                    phi_new[:] = problem.sweep_domain(d, phi[rows], keff)\n"
+        mutant = _mutate(_source(ASYNC_MP), old, new)
+        assert "shm-overlapping-write" in _rules(mutant, ASYNC_MP)
 
     def test_worker_writes_parent_owned_factors(self):
         # Workers may read the CMFD factors but only the parent writes
         # them; an in-worker store races the parent's publish.
-        old = "            keff = float(control[_KEFF])\n"
+        old = "            keff = float(grant[_KEFF])\n"
         new = (
-            "            keff = float(control[_KEFF])\n"
+            "            keff = float(grant[_KEFF])\n"
             "            factors[:] = 1.0\n"
         )
-        mutant = _mutate(_source(MP), old, new)
-        assert "shm-untracked-parent-write" in _rules(mutant, MP)
+        mutant = _mutate(_source(ASYNC_MP), old, new)
+        assert "shm-untracked-parent-write" in _rules(mutant, ASYNC_MP)
 
 
 class TestNoFalseClean:
@@ -161,10 +122,9 @@ class TestNoFalseClean:
             # Per-worker progress slot widened to a whole-array store.
             (ASYNC_MP, "            worker_seq[wid] = t + 1\n",
              "            worker_seq[:] = t + 1\n"),
-            # The pack/unpack barrier dropped (same bug, different splice).
-            (MP, "            barrier.wait(timeout)\n"
-                 "            with timer.stage(\"worker_exchange\"):",
-             "            with timer.stage(\"worker_exchange\"):"),
+            # Per-worker fission-tally slot widened the same way.
+            (ASYNC_MP, "                fission_seq[wid] = t\n",
+             "                fission_seq[:] = t\n"),
         ]
         for rel, old, new in cases:
             mutant = _mutate(_source(rel), old, new)

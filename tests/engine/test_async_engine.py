@@ -15,7 +15,13 @@ import signal
 import numpy as np
 import pytest
 
-from repro.engine import AsyncMpEngine, EdgePack, MpEngine, Problem2D, RoutePack
+from repro.engine import (
+    AsyncMpEngine,
+    EdgePack,
+    Problem2D,
+    RoutePack,
+    SanitizedAsyncMpEngine,
+)
 from repro.errors import SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
@@ -38,7 +44,7 @@ def grid_2x1(two_group_fissile):
 
 def make_solver(geometry, nx=2, ny=1, **kw):
     kw.setdefault("max_iterations", 5)
-    kw.setdefault("engine", "mp")
+    kw.setdefault("engine", "mp-async")
     return DecomposedSolver(
         geometry, nx, ny, num_azim=4, azim_spacing=0.5, num_polar=2, **kw
     )
@@ -185,4 +191,4 @@ class TestAsyncFailures:
 
     def test_timeout_stored_on_engine(self):
         assert AsyncMpEngine(timeout=12.5).timeout == 12.5
-        assert MpEngine(timeout=12.5).timeout == 12.5
+        assert SanitizedAsyncMpEngine(timeout=12.5).timeout == 12.5

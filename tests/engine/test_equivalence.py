@@ -1,14 +1,14 @@
 """Cross-engine equivalence: the mp engines must reproduce ``inproc`` bitwise.
 
-The inproc simulator is the correctness oracle; the ``mp`` engine executes
-the same Route/InterfaceExchange tables on real worker processes over
-shared memory, and the ``mp-async`` engine re-executes them again under
-the relaxed mailbox/epoch protocol (no global barriers, workers normalise
-their own flux). Every configuration here asserts *bitwise* agreement —
-identical k-eff (far stronger than the 1e-10 acceptance bound),
-``np.array_equal`` scalar flux, and identical CommStats traffic — across
-both process engines, worker counts and both decomposition styles (2D
-lattice grid, 3D axial stack).
+The inproc simulator is the correctness oracle; the ``mp-async`` engine
+executes the same Route/InterfaceExchange tables on real worker processes
+over shared memory under the mailbox/epoch protocol (no global barriers,
+workers normalise their own flux), and ``mp-async-sanitize`` runs the same
+worker body with every flux and halo access logged. Every configuration
+here asserts *bitwise* agreement — identical k-eff (far stronger than the
+1e-10 acceptance bound), ``np.array_equal`` scalar flux, and identical
+CommStats traffic — across both process engines, worker counts and both
+decomposition styles (2D lattice grid, 3D axial stack).
 """
 
 import numpy as np
@@ -71,8 +71,9 @@ def assert_equivalent(oracle_pair, candidate_pair):
         assert result.cmfd_stats.get(key) == oracle.cmfd_stats.get(key)
 
 
-#: Both real-process engines must be interchangeable with the simulator.
-MP_ENGINES = ("mp", "mp-async")
+#: The real-process engine, plain and under the access-logging sanitizer,
+#: must be interchangeable with the simulator.
+MP_ENGINES = ("mp-async", "mp-async-sanitize")
 
 
 class TestPinCell2D:

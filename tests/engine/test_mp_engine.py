@@ -1,4 +1,14 @@
-"""Behavioural tests of the multiprocess engine (arena tests: test_shm.py)."""
+"""Failure and degenerate-case mechanics of the multiprocess engine under
+the sanitizer (arena tests: test_shm.py).
+
+``mp-async-sanitize`` is ``mp-async`` plus hooks: a ``_prepare_solve``
+that validates the fault site, per-worker ``TrackedField`` wrappers and a
+``_result_extras`` that folds the access logs into a report.
+``test_async_engine.py`` pins these mechanics for plain ``mp-async``; this
+file pins that the hooks leave them intact — a crashing or killed worker
+still surfaces as a ``SolverError``, the degenerate single domain still
+solves, and the per-worker timers still ride home next to the events.
+"""
 
 import multiprocessing
 import os
@@ -6,7 +16,7 @@ import signal
 
 import pytest
 
-from repro.engine import MpEngine, Problem2D
+from repro.engine import AsyncMpEngine, Problem2D, SanitizedAsyncMpEngine
 from repro.errors import CommunicationError, SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
@@ -14,7 +24,7 @@ from repro.parallel import DecomposedSolver
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="mp engine requires the fork start method",
+    reason="mp engines require the fork start method",
 )
 
 
@@ -24,96 +34,76 @@ def grid_2x1(two_group_fissile):
     return Geometry(Lattice([[u, u]], 1.5, 1.5))
 
 
+def make_solver(geometry, nx=2, ny=1, **kw):
+    kw.setdefault("max_iterations", 5)
+    kw.setdefault("engine", "mp-async-sanitize")
+    return DecomposedSolver(
+        geometry, nx, ny, num_azim=4, azim_spacing=0.5, num_polar=2, **kw
+    )
+
+
+class ExplodingProblem(Problem2D):
+    def sweep_domain(self, d, phi_block, keff):
+        if d == 1:
+            raise RuntimeError("injected sweep failure")
+        return super().sweep_domain(d, phi_block, keff)
+
+
+class SuicidalProblem(Problem2D):
+    def sweep_domain(self, d, phi_block, keff):
+        if d == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().sweep_domain(d, phi_block, keff)
+
+
 class TestMpMechanics:
     def test_communicator_size_validated(self):
-        with pytest.raises(CommunicationError):
-            MpEngine().create_communicator(0)
+        for engine in (AsyncMpEngine(), SanitizedAsyncMpEngine()):
+            with pytest.raises(CommunicationError):
+                engine.create_communicator(0)
 
     @needs_fork
     def test_single_domain_no_routes(self, two_group_fissile):
-        """One domain, empty route table: the degenerate halo still works."""
+        """One domain, zero routes: the tracked placeholder halo is never
+        touched, so the audit is clean and still logs flux accesses."""
         u = make_homogeneous_universe(two_group_fissile)
         geometry = Geometry(Lattice([[u]], 1.5, 1.5))
-        solver = DecomposedSolver(
-            geometry, 1, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=15, engine="mp",
-        )
+        solver = make_solver(geometry, 1, 1, max_iterations=15)
         assert solver.exchange.num_routes == 0
         result = solver.solve()
         assert result.num_workers == 1
         assert result.keff > 0
+        assert result.sanitizer.clean, result.sanitizer.render()
+        assert result.sanitizer.num_events > 0
+        assert result.sanitizer.num_workers == 1
 
     @needs_fork
     def test_worker_timers_collected(self, grid_2x1):
-        solver = DecomposedSolver(
-            grid_2x1, 2, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=8, engine="mp", workers=2,
-        )
+        solver = make_solver(grid_2x1, max_iterations=8, workers=2)
         result = solver.solve()
         assert [wid for wid, _ in result.worker_timers] == [0, 1]
         for _wid, payload in result.worker_timers:
-            assert set(payload) == {"worker_sweep", "worker_exchange"}
+            assert {"worker_sweep", "worker_exchange"} <= set(payload)
             assert payload["worker_sweep"] > 0.0
+        assert result.sanitizer.num_workers == 2
 
     @needs_fork
     def test_worker_exception_surfaces_as_solver_error(self, grid_2x1):
-        """A sweep crash in a forked worker must reach the parent as a
-        SolverError carrying the worker traceback, not a hang."""
-
-        class ExplodingProblem(Problem2D):
-            def sweep_domain(self, d, phi_block, keff):
-                if d == 1:
-                    raise RuntimeError("injected sweep failure")
-                return super().sweep_domain(d, phi_block, keff)
-
-        solver = DecomposedSolver(
-            grid_2x1, 2, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=5, engine="mp",
-        )
-        engine = MpEngine(workers=2, timeout=30.0)
+        """A sweep crash in a sanitized worker must reach the parent as a
+        SolverError carrying the worker traceback, not a hang or an
+        analysis of a partial event log."""
+        solver = make_solver(grid_2x1)
+        engine = SanitizedAsyncMpEngine(workers=2, timeout=30.0)
         with pytest.raises(SolverError, match="injected sweep failure"):
             engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
-
-    @needs_fork
-    def test_traceback_ordered_before_barrier_noise(self, grid_2x1):
-        """When one worker raises, its siblings' barriers break too; the
-        original traceback must lead the report, not the teardown noise."""
-
-        class ExplodingProblem(Problem2D):
-            def sweep_domain(self, d, phi_block, keff):
-                if d == 1:
-                    raise RuntimeError("injected sweep failure")
-                return super().sweep_domain(d, phi_block, keff)
-
-        solver = DecomposedSolver(
-            grid_2x1, 2, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=5, engine="mp",
-        )
-        engine = MpEngine(workers=2, timeout=30.0)
-        with pytest.raises(SolverError) as excinfo:
-            engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
-        text = str(excinfo.value)
-        cause = text.index("injected sweep failure")
-        if "BrokenBarrierError" in text:
-            assert cause < text.index("BrokenBarrierError")
 
     @needs_fork
     def test_killed_worker_identified_promptly(self, grid_2x1):
         """A worker killed mid-epoch (SIGKILL: no exception, no queue
         message) must surface as a SolverError naming the dead worker and
         its signal — within the configured timeout, not a hang."""
-
-        class SuicidalProblem(Problem2D):
-            def sweep_domain(self, d, phi_block, keff):
-                if d == 1:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return super().sweep_domain(d, phi_block, keff)
-
-        solver = DecomposedSolver(
-            grid_2x1, 2, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=5, engine="mp",
-        )
-        engine = MpEngine(workers=2, timeout=5.0)
+        solver = make_solver(grid_2x1)
+        engine = SanitizedAsyncMpEngine(workers=2, timeout=5.0)
         with pytest.raises(SolverError, match=r"worker 1 died .*SIGKILL"):
             engine.solve(SuicidalProblem(solver), engine.create_communicator(2))
 
@@ -121,9 +111,6 @@ class TestMpMechanics:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        solver = DecomposedSolver(
-            grid_2x1, 2, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=2, engine="mp",
-        )
-        with pytest.raises(SolverError, match="fork"):
+        solver = make_solver(grid_2x1, max_iterations=2)
+        with pytest.raises(SolverError, match="mp-async-sanitize.*fork"):
             solver.solve()

@@ -79,8 +79,8 @@ class TestEnginePool:
     def test_same_signature_shares_an_instance(self):
         pool = EnginePool()
         try:
-            first = pool.get("mp", workers=2)
-            second = pool.get("mp", workers=2)
+            first = pool.get("mp-async", workers=2)
+            second = pool.get("mp-async", workers=2)
             assert first is second
         finally:
             pool.close()
@@ -88,8 +88,10 @@ class TestEnginePool:
     def test_different_signatures_get_distinct_instances(self):
         pool = EnginePool()
         try:
-            assert pool.get("mp", workers=2) is not pool.get("mp", workers=3)
-            assert pool.get("mp") is not pool.get("mp-async")
+            assert pool.get("mp-async", workers=2) is not pool.get(
+                "mp-async", workers=3
+            )
+            assert pool.get("mp-async") is not pool.get("mp-async-sanitize")
         finally:
             pool.close()
 

@@ -1,32 +1,28 @@
 """The shm race sanitizer: clean audits stay bitwise, injected faults fire.
 
-Four claims pinned here, matching the PR's acceptance criteria:
+Four claims pinned here:
 
-1. ``mp-sanitize`` on the 2D pin lattice reports **zero** race events and
-   is bitwise identical to ``inproc`` — instrumentation must not perturb
-   the schedule or the numbers;
-2. the seeded barrier-skip fault injection makes the detector fire —
-   both the same-epoch-overlap and the unpublished-read rule;
-3. the epoch analysis itself behaves on hand-built event logs, so the
+1. the epoch analysis behaves on hand-built event logs, so the
    detector's semantics are testable without spawning processes;
-4. the same detector proves the *relaxed* mailbox/epoch protocol of
-   ``mp-async`` race-free (``mp-async-sanitize`` clean + bitwise), while a
-   wrong-parity mailbox fault — reading the halo buffer the producers are
-   currently writing — trips both rules.
+2. ``mp-async-sanitize`` runs the production worker body itself — not an
+   instrumented copy — so what it audits is what runs under ``mp-async``;
+3. on the 2D pin lattice and an axial 3D stack it reports **zero**
+   findings and is bitwise identical to ``inproc`` — instrumentation must
+   not perturb the schedule or the numbers;
+4. a wrong-parity mailbox fault — reading the halo buffer the producers
+   are currently writing — trips both rules.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    FaultSpec,
-    SanitizedAsyncMpEngine,
-    SanitizedMpEngine,
-    analyze_events,
-)
-from repro.engine.registry import resolve_engine
+from repro.engine import FaultSpec, SanitizedAsyncMpEngine, analyze_events
+from repro.engine import async_mp
+from repro.engine.registry import engine_names, resolve_engine
 from repro.engine.sanitize import AccessEvent
-from repro.errors import SanitizerError
+from repro.errors import ConfigError, SanitizerError
 from tests.engine.test_equivalence import extruded, pin_lattice, solve_2d, solve_3d
 
 __all__ = ["pin_lattice"]  # re-exported fixture
@@ -110,79 +106,116 @@ class TestFaultSpec:
         b = FaultSpec.from_seed(1234, 4)
         assert a == b
         assert 0 <= a.worker < 4
-        assert a.iteration == 0
+        assert a.iteration == 1
 
     def test_fault_and_seed_are_mutually_exclusive(self):
+        """Rejected at construction even when the two name the same site."""
+        fault = FaultSpec.from_seed(1, 2)
         with pytest.raises(SanitizerError, match="not both"):
-            SanitizedMpEngine(workers=2, fault_seed=1, fault=FaultSpec(worker=0))
+            SanitizedAsyncMpEngine(workers=2, fault_seed=1, fault=fault)
 
-    def test_fault_worker_out_of_range_rejected(self, pin_lattice):
-        engine = SanitizedMpEngine(workers=2, fault=FaultSpec(worker=7))
-        with pytest.raises(SanitizerError, match="worker 7"):
-            solve_2d(pin_lattice, engine, workers=2)
+    def test_fault_worker_out_of_range_rejected(self, two_group_fissile):
+        """Off by one on a z decomposition: two workers are 0 and 1."""
+        engine = SanitizedAsyncMpEngine(workers=2, fault=FaultSpec(worker=2))
+        with pytest.raises(SanitizerError, match="worker 2"):
+            solve_3d(extruded(two_group_fissile, layers=4), engine,
+                     num_domains=4, workers=2)
 
 
 class TestRegistry:
-    def test_mp_sanitize_resolves_by_name(self):
-        engine = resolve_engine("mp-sanitize")
-        assert isinstance(engine, SanitizedMpEngine)
-        assert engine.name == "mp-sanitize"
-
     def test_mp_async_sanitize_resolves_by_name(self):
         engine = resolve_engine("mp-async-sanitize")
         assert isinstance(engine, SanitizedAsyncMpEngine)
         assert engine.name == "mp-async-sanitize"
 
+    @pytest.mark.parametrize("retired", ["mp", "mp-sanitize"])
+    def test_retired_engines_rejected(self, retired):
+        with pytest.raises(ConfigError, match="unknown execution engine") as exc:
+            resolve_engine(retired)
+        assert str(sorted(engine_names())) in str(exc.value)
+
+    def test_runs_the_production_worker_body(self, pin_lattice, monkeypatch):
+        """Every sanitized worker process runs ``async_mp._worker_loop``
+        itself, so the audit covers the loop that runs in production."""
+        fork = type(multiprocessing.get_context("fork"))
+        targets = []
+
+        class RecordingProcess(fork.Process):
+            def __init__(self, *args, **kwargs):
+                targets.append(kwargs["target"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fork, "Process", RecordingProcess)
+        _, result = solve_2d(pin_lattice, "mp-async-sanitize", workers=2)
+        assert result.sanitizer.clean, result.sanitizer.render()
+        assert len(targets) == 2
+        assert all(target is async_mp._worker_loop for target in targets)
+
 
 class TestCleanAudit:
+    """Clean audits on schedules :class:`TestAsyncCleanAudit` leaves out."""
+
     def test_pin_lattice_clean_and_bitwise(self, pin_lattice):
-        """Acceptance: zero race events flagged, bitwise equal to inproc."""
-        oracle_solver, oracle = solve_2d(pin_lattice, "inproc")
-        solver, result = solve_2d(pin_lattice, "mp-sanitize")
-        assert result.engine == "mp-sanitize"
+        """Uneven ownership: three workers over four domains, so worker 0
+        both publishes and consumes edges between its own domains."""
+        _, oracle = solve_2d(pin_lattice, "inproc")
+        _, result = solve_2d(pin_lattice, "mp-async-sanitize", workers=3)
+        assert result.num_workers == 3
         assert result.keff == oracle.keff
         assert np.array_equal(result.scalar_flux, oracle.scalar_flux)
         assert result.num_iterations == oracle.num_iterations
         report = result.sanitizer
-        assert report is not None
         assert report.clean, report.render()
-        assert report.num_events > 0
+        assert report.num_workers == 3
         assert report.fault is None
 
     def test_axial_3d_clean_and_bitwise(self, two_group_fissile):
+        """CMFD on, one worker per z domain: the prolongation rescale of
+        the unpacked halo is audited too."""
         g3 = extruded(two_group_fissile, layers=4)
-        _, oracle = solve_3d(g3, "inproc", num_domains=4)
-        _, result = solve_3d(g3, "mp-sanitize", num_domains=4, workers=2)
+        _, oracle = solve_3d(g3, "inproc", num_domains=4, cmfd=True)
+        _, result = solve_3d(g3, "mp-async-sanitize", num_domains=4, cmfd=True)
+        assert result.num_workers == 4
         assert result.keff == oracle.keff
         assert np.array_equal(result.scalar_flux, oracle.scalar_flux)
         assert result.sanitizer.clean, result.sanitizer.render()
+        assert result.sanitizer.num_events > 0
 
 
 class TestFaultInjection:
+    """Fault sites and layouts beyond :class:`TestAsyncFaultInjection`'s."""
+
     def test_barrier_skip_fires_detector(self, pin_lattice):
-        """Acceptance: the seeded fault (skipped barrier) is flagged."""
-        engine = SanitizedMpEngine(workers=2, fault_seed=1234)
-        _, result = solve_2d(pin_lattice, engine, workers=2)
+        """The fault skips the faulty worker's synchronisation before its
+        halo unpack (its per-edge waits, the mailbox protocol's barrier)
+        and both rules fire with one worker per domain."""
+        engine = SanitizedAsyncMpEngine(workers=4, fault_seed=1234)
+        _, result = solve_2d(pin_lattice, engine, workers=4)
         report = result.sanitizer
         assert not report.clean
         rules = {f.rule for f in report.findings}
         assert "same-epoch-overlap" in rules
         assert "unpublished-read" in rules
-        assert report.fault is not None
-        assert report.fault == FaultSpec.from_seed(1234, 2)
+        assert report.fault == FaultSpec.from_seed(1234, 4)
 
     def test_explicit_fault_site_fires(self, pin_lattice):
-        engine = SanitizedMpEngine(workers=2, fault=FaultSpec(worker=0, iteration=0))
+        """A fault after several clean iterations is still caught."""
+        fault = FaultSpec(worker=1, iteration=3)
+        engine = SanitizedAsyncMpEngine(workers=2, fault=fault)
         _, result = solve_2d(pin_lattice, engine, workers=2)
-        assert not result.sanitizer.clean
+        report = result.sanitizer
+        assert not report.clean
+        assert {f.epoch for f in report.findings} >= {3}
 
-    def test_fault_does_not_deadlock_and_reports_fault_site(self, pin_lattice):
-        """The compensating wait keeps barrier parity: the run terminates
-        and the report carries the injected fault site."""
-        fault = FaultSpec(worker=1, iteration=0)
-        engine = SanitizedMpEngine(workers=2, fault=fault)
-        _, result = solve_2d(pin_lattice, engine, workers=2)
+    def test_fault_does_not_deadlock_and_reports_fault_site(self, two_group_fissile):
+        """Skipping the edge waits leaves every counter published, so the
+        faulty 3D run terminates and the report carries the fault site."""
+        fault = FaultSpec(worker=1, iteration=1)
+        engine = SanitizedAsyncMpEngine(workers=2, fault=fault)
+        _, result = solve_3d(extruded(two_group_fissile, layers=4), engine,
+                             num_domains=4, workers=2)
         assert result.sanitizer.fault == fault
+        assert not result.sanitizer.clean
 
 
 class TestAsyncCleanAudit:
@@ -262,9 +295,9 @@ class TestAsyncFaultInjection:
 
 @pytest.mark.slow
 class TestC5G7Audit:
-    @pytest.mark.parametrize("engine", ["mp-sanitize", "mp-async-sanitize"])
+    @pytest.mark.parametrize("engine", ["mp-async-sanitize"])
     def test_c5g7_coarse_clean_and_bitwise(self, engine):
-        """The paper's benchmark, coarse: both sanitizers must stay silent
+        """The paper's benchmark, coarse: the sanitizer must stay silent
         and bitwise on full C5G7 3D heterogeneity over a z decomposition."""
         from repro.geometry.c5g7 import C5G7Spec, build_c5g7_3d
         from repro.materials.c5g7 import c5g7_library

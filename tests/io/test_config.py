@@ -58,15 +58,15 @@ class TestDecompositionConfig:
         assert cfg.workers == 0  # one worker per subdomain
 
     def test_engine_whitelist(self):
-        DecompositionConfig(engine="mp").validate()
         DecompositionConfig(engine="inproc").validate()
         DecompositionConfig(engine="mp-async").validate()
         DecompositionConfig(engine="mp-async-sanitize").validate()
-        with pytest.raises(ConfigError, match="engine"):
-            DecompositionConfig(engine="cuda").validate()
+        for unknown in ("cuda", "mp", "mp-sanitize"):
+            with pytest.raises(ConfigError, match="engine"):
+                DecompositionConfig(engine=unknown).validate()
 
     def test_workers_non_negative(self):
-        DecompositionConfig(engine="mp", workers=3).validate()
+        DecompositionConfig(engine="mp-async", workers=3).validate()
         with pytest.raises(ConfigError, match="workers"):
             DecompositionConfig(workers=-1).validate()
 

@@ -10,7 +10,7 @@ import pytest
 from repro.runtime import AntMocApplication
 from tests.observability.conftest import mini_2d_config
 
-ENGINES = ("inproc", "mp", "mp-sanitize", "mp-async")
+ENGINES = ("inproc", "mp-async", "mp-async-sanitize")
 
 #: Engine properties: timing- and protocol-dependent, excluded from the
 #: workload comparison.
@@ -62,16 +62,16 @@ class TestCrossEngineEquivalence:
             assert counters["num_domains"] == 9, engine
 
     def test_async_engine_reports_mailbox_counters(self, engine_results):
-        counters = engine_results["mp-async"].run_report.counters
-        for name in ("halo_wait_ns", "neighbor_stalls", "epochs_overlapped"):
-            assert name in counters, name
-        # The barrier engines never emit the mailbox counters.
-        for engine in ("inproc", "mp", "mp-sanitize"):
-            others = engine_results[engine].run_report.counters
-            assert "epochs_overlapped" not in others, engine
+        for engine in ("mp-async", "mp-async-sanitize"):
+            counters = engine_results[engine].run_report.counters
+            for name in ("halo_wait_ns", "neighbor_stalls", "epochs_overlapped"):
+                assert name in counters, (engine, name)
+        # The in-process simulator has no mailboxes to report on.
+        others = engine_results["inproc"].run_report.counters
+        assert "epochs_overlapped" not in others
 
     def test_mp_engines_report_worker_spans(self, engine_results):
-        for engine in ("mp", "mp-sanitize", "mp-async"):
+        for engine in ("mp-async", "mp-async-sanitize"):
             report = engine_results[engine].run_report
             workers = next((s for s in report.spans if s.name == "workers"), None)
             assert workers is not None, f"{engine} run has no workers span group"

@@ -84,7 +84,11 @@ class TestBitwiseEquivalence:
         )
 
     @needs_fork
-    def test_mp_decomposed(self):
+    def test_mp_async_sanitize_decomposed(self):
         assert_served_equals_direct(
-            solve_payload(decomposition={"nx": 3, "ny": 3, "engine": "mp", "workers": 2})
+            solve_payload(
+                decomposition={
+                    "nx": 3, "ny": 3, "engine": "mp-async-sanitize", "workers": 2
+                }
+            )
         )
