@@ -2,13 +2,16 @@
 """A spatially decomposed run through the five-stage pipeline (Fig. 2).
 
 Drives the same mini C5G7 configuration twice — single domain and 3x3
-spatial decomposition with simulated MPI boundary-flux exchange — from a
-``config.yaml``-style configuration, and compares eigenvalues, fission
-rates, and the communication traffic against the Eq. (7) model. The two
-run reports are written next to the script and diffed with the
-observability CLI, showing which differences are *significant* (counters:
-the decomposed run sweeps per-domain track sets and moves halo bytes)
-and which are merely timing noise.
+spatial decomposition — from a ``config.yaml``-style configuration, and
+compares eigenvalues, fission rates, and the communication traffic against
+the Eq. (7) model. The ``inproc`` engine moves the boundary flux with the
+same ``EdgePack`` gather/scatter tables as ``mp-async``; ``SimComm``
+counts the equivalent MPI traffic (one message per interface route per
+iteration, plus the allreduce ring). The two run reports are written
+next to the script and diffed with the observability CLI, showing which
+differences are *significant* (counters: the decomposed run sweeps
+per-domain track sets and moves halo bytes) and which are merely timing
+noise.
 
 Run:  python examples/decomposed_run.py
 """
@@ -57,7 +60,7 @@ def main() -> None:
     print(" track correction on its own rectangle — the paper's caveat)")
 
     solver = app_dec.pipeline.artifacts[list(app_dec.pipeline.artifacts)[2]]
-    routes = solver.exchange.num_routes
+    routes = len(solver.routes)
     polar_half = 1  # num_polar=2 -> one hemisphere angle
     groups = 7
     per_iter = routes * polar_half * groups * 8  # float64 host payloads

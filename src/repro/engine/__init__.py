@@ -1,10 +1,11 @@
 """Execution engines for decomposed transport solves.
 
-The communicator/engine layer behind the decomposed drivers
+The engine layer behind the decomposed drivers
 (:mod:`repro.parallel.driver`, :mod:`repro.parallel.driver3d`):
 
-* ``inproc`` — the deterministic in-process simulator over
-  :class:`~repro.parallel.comm.SimComm`, kept as the equivalence oracle;
+* ``inproc`` — the deterministic in-process reference, kept as the
+  equivalence oracle: sequential sweeps, halo moved by in-place
+  edge-wise copies between the subdomain sweepers;
 * ``mp-async`` — real OS worker processes sweeping subdomains in
   parallel, with the halo and the global flux in shared-memory SoA
   buffers and per-edge epoch-tagged halo mailboxes (dependency-driven,
@@ -12,12 +13,16 @@ The communicator/engine layer behind the decomposed drivers
 * ``mp-async-sanitize`` — the same engine and worker body with every
   flux and halo access logged and checked by the shm race sanitizer.
 
-All engines execute the same ``Route``/``InterfaceExchange`` tables and
-produce identical results and :class:`~repro.parallel.comm.CommStats`
-traffic, so every accounting test runs unchanged against any of them.
+Every engine moves the halo through the same
+:class:`~repro.engine.problem.EdgePack` gather/scatter tables built from
+the driver's ``Route`` table, and charges the same traffic to the
+driver's :class:`~repro.parallel.comm.SimComm` — an accounting object,
+not a message queue — so results and
+:class:`~repro.parallel.comm.CommStats` are identical across engines and
+every accounting test runs unchanged against any of them.
 """
 
-from repro.engine.async_mp import AsyncMpEngine, MpCommunicator
+from repro.engine.async_mp import AsyncMpEngine
 from repro.engine.base import (
     ENGINE_TIMEOUT_ENV_VAR,
     EngineResult,
@@ -31,7 +36,6 @@ from repro.engine.problem import (
     EdgePack,
     Problem2D,
     Problem3D,
-    RoutePack,
 )
 from repro.engine.registry import (
     DEFAULT_ENGINE,
@@ -61,10 +65,8 @@ __all__ = [
     "ExecutionEngine",
     "FaultSpec",
     "InprocEngine",
-    "MpCommunicator",
     "Problem2D",
     "Problem3D",
-    "RoutePack",
     "SanitizedAsyncMpEngine",
     "SanitizerReport",
     "ShmArena",

@@ -20,8 +20,9 @@ barriers — only per-neighbour dependency tracking:
   are already published starts its next sweep immediately;
 * **grant/harvest eigenvalue loop** — the parent never touches the flux:
   workers normalise their own blocks and tally their own fission source
-  and production, the parent only sums the per-domain productions in rank
-  order (keeping k-eff bitwise equal to ``inproc``) and publishes a
+  and production, the parent only sums the per-domain productions through
+  the same rank-ordered ``SimComm.allreduce`` as ``inproc`` (keeping k-eff
+  bitwise equal) and publishes a
   *grant* word ``(keff, norm, stop-mode, epoch)`` that releases the next
   iteration. Convergence is checked one grant behind the workers, so the
   check overlaps the next sweep; on early convergence exactly one
@@ -32,7 +33,7 @@ Double-buffer safety: a worker needs grant ``t+1`` to start iteration
 ``t+1``, and the parent issues that grant only after *every* worker
 finished iteration ``t`` — so a producer can never rewrite the halo
 parity a lagging consumer still has to read. Results stay bitwise equal
-to ``inproc``: identical float op order, identical route tables,
+to ``inproc``: identical float op order, identical edge tables,
 identical traffic accounting.
 
 There is exactly one worker body, :func:`_worker_loop`. The race
@@ -59,7 +60,7 @@ from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.shm import ShmArena
 from repro.errors import CommunicationError, ReproError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
-from repro.parallel.comm import CommStats, account_allreduce
+from repro.parallel.comm import SimComm
 from repro.solver.cmfd import CmfdStats, apply_engine_cmfd
 from repro.solver.convergence import ConvergenceMonitor
 
@@ -88,24 +89,6 @@ WORKER_ERRORS = (
     OSError,
     RuntimeError,
 )
-
-
-class MpCommunicator:
-    """Traffic accounting for the multiprocess engine.
-
-    The halo moves through shared memory, not messages, but the engine
-    tallies the *equivalent* traffic along the route tables so the Eq. (7)
-    accounting tests see identical :class:`CommStats` across engines.
-    """
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise CommunicationError(f"communicator size must be >= 1 (got {size})")
-        self.size = int(size)
-        self.stats = CommStats()
-
-    def allreduce_account(self) -> None:
-        account_allreduce(self.stats, self.size)
 
 
 def _maybe_pin_worker(wid: int, pin: bool) -> None:
@@ -323,9 +306,6 @@ class AsyncMpEngine(ExecutionEngine):
         """Extra :class:`EngineResult` fields from the worker reports."""
         return {}
 
-    def create_communicator(self, size: int) -> MpCommunicator:
-        return MpCommunicator(size)
-
     def resolve_workers(self, num_domains: int) -> int:
         """Worker count: requested (or one per domain), capped by domains."""
         requested = self.workers or num_domains
@@ -428,7 +408,7 @@ class AsyncMpEngine(ExecutionEngine):
             reports[wid] = payload
         return reports
 
-    def solve(self, problem: DecomposedProblem, comm) -> EngineResult:
+    def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
         ctx_methods = multiprocessing.get_all_start_methods()
         if "fork" not in ctx_methods:
             raise SolverError(
@@ -442,13 +422,12 @@ class AsyncMpEngine(ExecutionEngine):
         W = self.resolve_workers(D)
         self._prepare_solve(W)
         pack = EdgePack(problem)
-        slot = pack.slot_shape if pack.num_routes else problem.slot_shape
         cmfd = problem.cmfd
         cmfd_stats = CmfdStats() if cmfd is not None else None
         shapes = {
             "phi": (problem.num_fsrs_total, problem.num_groups),
             "phi_new": (problem.num_fsrs_total, problem.num_groups),
-            "halo": (2, max(pack.num_routes, 1)) + tuple(slot),
+            "halo": (2, max(pack.num_routes, 1)) + pack.slot_shape,
             "fission": (problem.num_fsrs_total,),
             "prod": (D,),
             "edge_seq": (max(pack.num_edges, 1),),
@@ -495,7 +474,9 @@ class AsyncMpEngine(ExecutionEngine):
                 for proc in procs:
                     proc.start()
                 phi.fill(1.0)
-                production = self._allreduce(problem, comm, phi)
+                production = comm.allreduce(
+                    [problem.production(d, problem.block(d, phi)) for d in range(D)]
+                )
                 if production <= 0.0:
                     raise SolverError("initial flux produces no fission neutrons")
                 phi /= production
@@ -510,8 +491,7 @@ class AsyncMpEngine(ExecutionEngine):
                         worker_seq, t + 1, queue, procs,
                         f"sweeps of iteration {t}",
                     )
-                    new_production = sum(float(prod[d]) for d in range(D))
-                    comm.allreduce_account()
+                    new_production = comm.allreduce([float(prod[d]) for d in range(D)])
                     pack.account_iteration(comm.stats)
                     if new_production <= 0.0:
                         raise SolverError("fission production vanished")
@@ -587,21 +567,6 @@ class AsyncMpEngine(ExecutionEngine):
             del phi, phi_new, fission, prod, worker_seq, fission_seq, grant
             del currents, factors, fields, procs
             self._release_arena(arena)
-
-    def _allreduce(self, problem: DecomposedProblem, comm: MpCommunicator,
-                   flux: np.ndarray) -> float:
-        """Fission production summed in rank order, with traffic accounting.
-
-        Matches ``SimComm.allreduce`` over the same per-rank list: ``sum``
-        of the contributions in ascending rank order, plus the modelled
-        recursive-doubling byte counts.
-        """
-        values = [
-            problem.production(d, problem.block(d, flux))
-            for d in range(problem.num_domains)
-        ]
-        comm.allreduce_account()
-        return sum(values)
 
 
 def _describe_exit(exitcode: int | None) -> str:

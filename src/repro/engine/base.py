@@ -2,12 +2,14 @@
 
 An :class:`ExecutionEngine` runs the stage-4 eigenvalue iteration of a
 spatially decomposed problem (2D lattice cuts or 3D axial slabs) and
-carries boundary angular flux along the precomputed
-``Route``/``InterfaceExchange`` tables. Engines differ only in *how* the
-subdomain sweeps execute and how the halo moves:
+carries boundary angular flux along the interface ``Route`` table,
+precompiled into :class:`~repro.engine.problem.EdgePack` gather/scatter
+edges. Engines differ only in *how* the subdomain sweeps execute and how
+the halo moves:
 
-* ``inproc`` — the deterministic single-process simulator (the historical
-  behaviour, kept as the equivalence oracle);
+* ``inproc`` — the deterministic single-process reference: edge-wise
+  in-place copies between the subdomain sweepers, kept as the
+  equivalence oracle;
 * ``mp-async`` — real OS worker processes over
   ``multiprocessing.shared_memory`` SoA buffers under the
   dependency-driven mailbox protocol: per-edge epoch-tagged halo
@@ -16,8 +18,9 @@ subdomain sweeps execute and how the halo moves:
   sanitizer).
 
 All consume the same :class:`~repro.engine.problem.DecomposedProblem`
-adapter and the same routing tables, so traffic accounting and results are
-engine-independent by construction.
+adapter, the same edge tables and the driver's
+:class:`~repro.parallel.comm.SimComm` traffic accounting, so traffic
+counts and results are engine-independent by construction.
 """
 
 from __future__ import annotations
@@ -97,14 +100,7 @@ class ExecutionEngine(ABC):
     name: str = "?"
 
     @abstractmethod
-    def create_communicator(self, size: int) -> Any:
-        """Build this engine's communicator over ``size`` ranks.
-
-        The returned object always exposes ``.size`` and ``.stats``
-        (a :class:`~repro.parallel.comm.CommStats`), so the Eq. (7)
-        traffic-accounting tests run unchanged against every engine.
-        """
-
-    @abstractmethod
     def solve(self, problem, comm) -> EngineResult:
-        """Run the eigenvalue iteration of ``problem`` to convergence."""
+        """Run the eigenvalue iteration of ``problem`` to convergence,
+        charging its traffic to ``comm`` (a
+        :class:`~repro.parallel.comm.SimComm` over the problem's domains)."""

@@ -1,12 +1,14 @@
-"""The in-process execution engine: the deterministic simulator.
+"""The in-process execution engine: the deterministic reference.
 
 Runs every subdomain sweep sequentially in the calling process and moves
-boundary angular flux through :class:`~repro.parallel.comm.SimComm` — the
-historical behaviour of the decomposed drivers, kept byte-for-byte as the
-equivalence oracle for the real multiprocess engine. One sweep per rank
-per iteration, boundary flux updated at iteration boundaries (the paper's
+boundary angular flux with the same
+:class:`~repro.engine.problem.EdgePack` gather/scatter tables as
+``mp-async`` — one in-place copy per directed edge, sweeper to sweeper —
+charging the equivalent traffic to the
+:class:`~repro.parallel.comm.SimComm` accounting. One sweep per rank per
+iteration, boundary flux updated at iteration boundaries (the paper's
 Point-Jacobi scheme, Sec. 2.1), eigenvalue updated from a global
-reduction.
+reduction. Kept as the equivalence oracle for the multiprocess engine.
 """
 
 from __future__ import annotations
@@ -14,42 +16,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.base import EngineResult, ExecutionEngine
-from repro.engine.problem import DecomposedProblem
+from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.errors import SolverError
 from repro.io.logging_utils import StageTimer
-from repro.parallel.comm import SimComm
+from repro.parallel.comm import CommStats, SimComm
 from repro.solver.cmfd import CmfdStats, apply_engine_cmfd
 from repro.solver.convergence import ConvergenceMonitor
 
 
+def exchange_halo(problem: DecomposedProblem, pack: EdgePack, stats: CommStats) -> None:
+    """Copy every route's outgoing flux into its destination slot.
+
+    One gather/scatter per directed edge, straight from the source
+    sweeper's ``psi_out_last`` to the destination sweeper's ``psi_in`` —
+    the same tables the ``mp-async`` mailboxes pack — then the iteration's
+    traffic is charged to ``stats``.
+    """
+    for e, (src, dst) in enumerate(pack.edge_pairs):
+        outgoing = problem.sweeper(src).psi_out_last[pack.edge_source(e)]
+        problem.sweeper(dst).psi_in[pack.edge_target(e)] = outgoing
+    pack.account_iteration(stats)
+
+
 class InprocEngine(ExecutionEngine):
-    """Single-process reference engine over the simulated communicator."""
+    """Single-process reference engine."""
 
     name = "inproc"
-
-    def create_communicator(self, size: int) -> SimComm:
-        return SimComm(size)
-
-    def _exchange(self, problem: DecomposedProblem, comm: SimComm) -> None:
-        """Route every interface slot's outgoing flux via the communicator."""
-        for route in problem.routes:
-            comm.send(
-                route.src_domain,
-                route.dst_domain,
-                problem.outgoing_flux(route).copy(),
-                tag=(route.dst_track, route.dst_dir),
-            )
-        comm.deliver()
-        for route in problem.routes:
-            flux = comm.recv(
-                route.dst_domain, route.src_domain, tag=(route.dst_track, route.dst_dir)
-            )
-            problem.set_incoming_flux(route, flux)
 
     def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
         timer = StageTimer()
         cmfd = problem.cmfd
         cmfd_stats = CmfdStats() if cmfd is not None else None
+        pack = EdgePack(problem)
         with timer.stage("engine_solve"):
             ranks = range(problem.num_domains)
             phi = np.ones((problem.num_fsrs_total, problem.num_groups))
@@ -70,7 +68,7 @@ class InprocEngine(ExecutionEngine):
                     problem.block(d, phi_new)[:] = problem.sweep_domain(
                         d, problem.block(d, phi), keff
                     )
-                self._exchange(problem, comm)
+                exchange_halo(problem, pack, comm.stats)
                 new_production = comm.allreduce(
                     [problem.production(d, problem.block(d, phi_new)) for d in ranks]
                 )

@@ -7,20 +7,19 @@ lattice geometry (:class:`~repro.parallel.driver.DecomposedSolver`) or a
 sweeps, flux blocks, reductions, and the interface routing table — so one
 engine implementation serves both drivers.
 
-:class:`RoutePack` validates the route table and holds the per-pair
-traffic totals that keep the multiprocess engine's
-:class:`~repro.parallel.comm.CommStats` bitwise identical to the
-``inproc`` simulator's. :class:`EdgePack` refines the same table down to
-directed domain-to-domain *edges* — the dependency granularity of the
-``mp-async`` mailbox protocol, where each edge carries its own epoch
-sequence number and a consumer only waits for the edges it actually
-reads.
+:class:`EdgePack` precompiles the route table into directed
+domain-to-domain *edges* with gather/scatter index arrays. Every engine
+moves the halo through it — ``inproc`` copies each edge's slots straight
+from the source sweeper to the destination sweeper, ``mp-async`` packs
+them into per-edge shared-memory mailboxes, where each edge carries its
+own epoch sequence number and a consumer only waits for the edges it
+actually reads — and every engine charges the same traffic through
+:meth:`EdgePack.account_iteration`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 
 import numpy as np
 
@@ -76,16 +75,6 @@ class DecomposedProblem(ABC):
         """Trailing shape of one boundary-flux slot (``psi[track, dir]``)."""
         return tuple(self.sweeper(0).psi_in.shape[2:])
 
-    def outgoing_flux(self, route) -> np.ndarray:
-        """The flux that left through ``route``'s source slot last sweep."""
-        return self.sweeper(route.src_domain).psi_out_last[route.src_track, route.src_dir]
-
-    def set_incoming_flux(self, route, flux: np.ndarray) -> None:
-        """Inject received flux into ``route``'s destination slot."""
-        self.sweeper(route.dst_domain).set_interface_flux(
-            route.dst_track, route.dst_dir, flux
-        )
-
 
 class Problem2D(DecomposedProblem):
     """Adapter over :class:`~repro.parallel.driver.DecomposedSolver`."""
@@ -95,7 +84,7 @@ class Problem2D(DecomposedProblem):
         self.num_domains = len(solver.domains)
         self.num_fsrs_total = solver.num_fsrs_total
         self.num_groups = solver.domains[0].terms.num_groups
-        self.routes = tuple(solver.exchange.routes)
+        self.routes = tuple(solver.routes)
         self.max_iterations = solver.max_iterations
         self.keff_tolerance = solver.keff_tolerance
         self.source_tolerance = solver.source_tolerance
@@ -157,44 +146,7 @@ class Problem3D(DecomposedProblem):
         return self._solver.domains[d]["sweeper"]
 
 
-class RoutePack:
-    """Traffic accounting and validation over a problem's routing table.
-
-    Destination slots must be unique — a duplicate would make the
-    vectorised halo scatter order-dependent — and are validated here;
-    :meth:`account_iteration` keeps the multiprocess engine's
-    :class:`~repro.parallel.comm.CommStats` bitwise identical to the
-    ``inproc`` simulator's.
-    """
-
-    def __init__(self, problem: DecomposedProblem) -> None:
-        routes = problem.routes
-        self.num_routes = len(routes)
-        self.slot_shape = problem.slot_shape if routes else ()
-        self.slot_bytes = int(8 * np.prod(self.slot_shape)) if routes else 0
-
-        targets = [(r.dst_domain, r.dst_track, r.dst_dir) for r in routes]
-        if len(set(targets)) != len(targets):
-            raise DecompositionError(
-                "route table has duplicate destination slots; the vectorised "
-                "halo exchange requires one writer per (domain, track, dir)"
-            )
-        self.pair_counts = Counter((r.src_domain, r.dst_domain) for r in routes)
-
-    def account_iteration(self, stats: CommStats) -> None:
-        """Tally one iteration's halo traffic exactly as ``inproc`` would.
-
-        The simulator records one message of ``slot_bytes`` per route; the
-        aggregate form below produces identical totals and per-pair bytes
-        without walking every route each iteration.
-        """
-        stats.messages_sent += self.num_routes
-        stats.bytes_sent += self.num_routes * self.slot_bytes
-        for pair, n in self.pair_counts.items():
-            stats.per_pair_bytes[pair] += n * self.slot_bytes
-
-
-class EdgePack(RoutePack):
+class EdgePack:
     """Route table grouped by directed domain-to-domain edge.
 
     The mailbox protocol synchronises per *edge* ``(src_domain,
@@ -206,16 +158,27 @@ class EdgePack(RoutePack):
     scatter arrays, and per domain the edge ids it produces and consumes.
     Edge ids are assigned in sorted ``(src, dst)`` order so the layout is
     deterministic across processes.
+
+    Destination slots must be unique — a duplicate would make the
+    vectorised halo scatter order-dependent — and are validated here.
     """
 
     def __init__(self, problem: DecomposedProblem) -> None:
-        super().__init__(problem)
+        routes = problem.routes
+        self.num_routes = len(routes)
+        self.slot_shape = problem.slot_shape
+        self.slot_bytes = int(8 * np.prod(self.slot_shape))
+        targets = [(r.dst_domain, r.dst_track, r.dst_dir) for r in routes]
+        if len(set(targets)) != len(targets):
+            raise DecompositionError(
+                "route table has duplicate destination slots; the vectorised "
+                "halo exchange requires one writer per (domain, track, dir)"
+            )
         by_edge: dict[tuple[int, int], list[int]] = {}
-        for i, r in enumerate(problem.routes):
+        for i, r in enumerate(routes):
             by_edge.setdefault((r.src_domain, r.dst_domain), []).append(i)
         self.edge_pairs: tuple[tuple[int, int], ...] = tuple(sorted(by_edge))
         self.num_edges = len(self.edge_pairs)
-        routes = problem.routes
         self._edge_routes: list[np.ndarray] = []
         self._edge_src: list[tuple[np.ndarray, np.ndarray]] = []
         self._edge_dst: list[tuple[np.ndarray, np.ndarray]] = []
@@ -240,6 +203,15 @@ class EdgePack(RoutePack):
             in_edges.setdefault(pair[1], []).append(e)
         self._out_edges = {d: tuple(es) for d, es in out_edges.items()}
         self._in_edges = {d: tuple(es) for d, es in in_edges.items()}
+
+    def account_iteration(self, stats: CommStats) -> None:
+        """Tally one iteration's halo traffic: one ``slot_bytes`` message
+        per route, charged to the route's ``(src, dst)`` pair. The
+        aggregate form gives those totals without walking every route."""
+        stats.messages_sent += self.num_routes
+        stats.bytes_sent += self.num_routes * self.slot_bytes
+        for pair, idx in zip(self.edge_pairs, self._edge_routes):
+            stats.per_pair_bytes[pair] += len(idx) * self.slot_bytes
 
     def out_edges(self, d: int) -> tuple[int, ...]:
         """Edge ids whose halo slots domain ``d`` produces."""

@@ -30,6 +30,7 @@ __all__ = [
     "engine_names",
     "register_engine",
     "resolve_engine",
+    "resolve_engine_name",
     "resolve_engine_timeout",
 ]
 
@@ -74,6 +75,15 @@ def engine_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY, key=lambda n: (n != DEFAULT_ENGINE, n)))
 
 
+def resolve_engine_name(requested: str | None = None) -> str:
+    """The engine name the selection policy picks (argument > env var >
+    default), without constructing the engine."""
+    if requested is not None and requested.strip().lower() == "auto":
+        requested = None
+    name = requested or os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
+    return name.strip().lower()
+
+
 def resolve_engine(
     requested: str | ExecutionEngine | None = None,
     workers: int | None = None,
@@ -89,10 +99,7 @@ def resolve_engine(
     """
     if isinstance(requested, ExecutionEngine):
         return requested
-    if requested is not None and requested.strip().lower() == "auto":
-        requested = None
-    name = requested or os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
-    name = name.strip().lower()
+    name = resolve_engine_name(requested)
     try:
         factory = _REGISTRY[name]
     except KeyError:

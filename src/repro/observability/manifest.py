@@ -110,14 +110,24 @@ class RunManifest:
 
     @classmethod
     def collect(cls, config: Any, seed: int | None = None) -> "RunManifest":
-        """Build a manifest from a validated ``RunConfig``."""
+        """Build a manifest from a validated ``RunConfig``.
+
+        ``engine`` and ``backend`` name what runs, not what was requested:
+        ``auto`` resolves through the same policy the solve uses (config,
+        then ``REPRO_ENGINE`` / ``REPRO_SWEEP_BACKEND``, then the default).
+        Only the names resolve; no engine is built. The config hash still
+        covers the requested configuration.
+        """
+        from repro.engine.registry import resolve_engine_name
+        from repro.solver.backends import resolve_backend_name
+
         config_dict = config.to_dict()
         return cls(
             config_hash=config_hash(config_dict),
             git_rev=detect_git_rev(),
             geometry=str(config.geometry),
-            engine=str(config.decomposition.engine),
-            backend=str(config.solver.sweep_backend),
+            engine=resolve_engine_name(config.decomposition.engine),
+            backend=resolve_backend_name(config.solver.sweep_backend),
             tracer=str(config.tracking.tracer),
             storage_method=str(config.solver.storage_method),
             seed=seed,

@@ -7,8 +7,10 @@ Two layers, matching the reproduction strategy in DESIGN.md:
   :mod:`~repro.parallel.driver`) that actually runs spatially decomposed
   MOC solves — the Jacobi-style boundary-flux exchange of paper
   Sec. 2.1/3.1 — through a pluggable execution engine
-  (:mod:`repro.engine`): the in-process deterministic communicator, or
-  real worker processes over shared memory;
+  (:mod:`repro.engine`): sequential in-process sweeps, or real worker
+  processes over shared memory — both moving the halo
+  through the same ``EdgePack`` tables, with :class:`SimComm` as the
+  traffic accounting (not a message queue);
 * a *timing* layer (:mod:`~repro.parallel.timeline`) that executes the
   paper-scale experiments (Figs. 9, 11, 12) on the simulated cluster,
   driven by the Sec. 3.3 performance model.
@@ -16,9 +18,9 @@ Two layers, matching the reproduction strategy in DESIGN.md:
 
 from repro.parallel.comm import SimComm, CommStats
 from repro.parallel.domain import DomainSolver
-from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
+from repro.parallel.exchange import Route, match_interface_tracks
 from repro.parallel.driver import DecomposedSolver, DecomposedResult
-from repro.parallel.driver3d import ZDecomposedSolver, ZDecomposedResult, Route3D
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.parallel.timeline import (
     ClusterTransportSimulator,
     SimulationReport,
@@ -29,13 +31,11 @@ __all__ = [
     "SimComm",
     "CommStats",
     "DomainSolver",
-    "InterfaceExchange",
+    "Route",
     "match_interface_tracks",
     "DecomposedSolver",
     "DecomposedResult",
     "ZDecomposedSolver",
-    "ZDecomposedResult",
-    "Route3D",
     "ClusterTransportSimulator",
     "SimulationReport",
     "ScalingStudy",

@@ -1,23 +1,25 @@
-"""A deterministic in-process message-passing communicator.
+"""Traffic accounting for decomposed solves: the simulated communicator.
 
 Models the MPI usage of ANT-MOC's transport solver: near-neighbour
 point-to-point exchange of boundary angular flux (the Buffered Synchronous
 scheme the paper cites) plus the small collectives of the eigenvalue
-update. Messages are delivered between *phases* of a bulk-synchronous
-step, so the semantics match the paper's "a subdomain only updates its
-incoming angular flux at the end of a source computation".
+update. :class:`SimComm` is not a message queue: every engine moves the
+halo itself through the precompiled
+:class:`~repro.engine.problem.EdgePack` tables (in-process copies for
+``inproc``, shared-memory mailboxes for ``mp-async``), and the pack
+charges the equivalent one-message-per-route traffic here. The
+eigenvalue reduction runs through :meth:`SimComm.allreduce` on every
+engine, so the sum order — and the bits of k-eff — never depend on the
+engine.
 
 Byte counts are tallied per rank pair so tests can validate the Eq. (7)
-communication model against actually exchanged traffic.
+communication model against the traffic a solve actually charged.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import numpy as np
 
 from repro.errors import CommunicationError
 
@@ -40,41 +42,11 @@ class CommStats:
         self.per_pair_bytes[(src, dst)] += nbytes
 
 
-def account_allreduce(stats: CommStats, size: int) -> None:
-    """Tally one allreduce's modelled traffic into ``stats``.
-
-    Models a recursive-doubling allreduce: ``log2(size)`` rounds of 8-byte
-    ring exchanges per rank. Shared by :class:`SimComm` and the real
-    multiprocess engine so both produce identical byte counts.
-    """
-    stats.allreduce_calls += 1
-    rounds = max(1, (size - 1).bit_length())
-    for _ in range(rounds):
-        for rank in range(size):
-            stats.record(rank, (rank + 1) % size, 8)
-
-
-def _payload_bytes(payload: Any) -> int:
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, (int, float)):
-        return 8
-    if isinstance(payload, (list, tuple)):
-        return sum(_payload_bytes(p) for p in payload)
-    if isinstance(payload, dict):
-        return sum(_payload_bytes(v) for v in payload.values())
-    return 64  # conservative default for odd payloads
-
-
 class SimComm:
-    """A communicator over ``size`` simulated ranks.
+    """Traffic accounting over ``size`` simulated ranks.
 
-    Usage is phase-based: during a phase, any rank may :meth:`send`;
-    messages become visible to :meth:`recv` only after :meth:`deliver`
-    (the barrier at the end of the sweep). ``recv`` on an empty channel is
-    a protocol violation, not a block — deadlock surfaces as an exception.
+    ``stats`` collects the halo traffic the engines charge along the route
+    tables; :meth:`allreduce` is the one collective a solve performs.
     """
 
     def __init__(self, size: int) -> None:
@@ -82,65 +54,19 @@ class SimComm:
             raise CommunicationError(f"communicator size must be >= 1 (got {size})")
         self.size = int(size)
         self.stats = CommStats()
-        self._in_flight: dict[tuple[int, int, Any], deque] = defaultdict(deque)
-        self._delivered: dict[tuple[int, int, Any], deque] = defaultdict(deque)
 
-    def _check_rank(self, rank: int, what: str) -> None:
-        if not (0 <= rank < self.size):
-            raise CommunicationError(f"{what} rank {rank} out of range [0, {self.size})")
-
-    def send(self, src: int, dst: int, payload: Any, tag: Any = 0) -> None:
-        """Post a message; it is delivered at the next :meth:`deliver`."""
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        self._in_flight[(src, dst, tag)].append(payload)
-        self.stats.record(src, dst, _payload_bytes(payload))
-
-    def deliver(self) -> None:
-        """Barrier: make all posted messages receivable."""
-        for key, queue in self._in_flight.items():
-            self._delivered[key].extend(queue)
-        self._in_flight.clear()
-
-    def recv(self, dst: int, src: int, tag: Any = 0) -> Any:
-        """Receive one delivered message (FIFO per (src, dst, tag))."""
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        queue = self._delivered.get((src, dst, tag))
-        if not queue:
-            raise CommunicationError(
-                f"rank {dst} has no delivered message from {src} with tag {tag!r}"
-            )
-        return queue.popleft()
-
-    def try_recv(self, dst: int, src: int, tag: Any = 0) -> Any | None:
-        """Receive if available, else None."""
-        queue = self._delivered.get((src, dst, tag))
-        return queue.popleft() if queue else None
-
-    def pending(self, dst: int, src: int, tag: Any = 0) -> int:
-        return len(self._delivered.get((src, dst, tag), ()))
-
-    # ----------------------------------------------------------- collectives
-
-    def allreduce(self, values: list[float], op: Callable[[list[float]], float] = sum) -> float:
-        """Reduce one contribution per rank; result visible to all ranks.
+    def allreduce(self, values: list[float]) -> float:
+        """Sum one contribution per rank, in ascending rank order.
 
         Byte accounting models a recursive-doubling allreduce:
-        ``log2(size)`` rounds of 8-byte exchanges per rank.
+        ``log2(size)`` rounds of 8-byte ring exchanges per rank.
         """
         if len(values) != self.size:
             raise CommunicationError(
                 f"allreduce needs one value per rank ({len(values)} != {self.size})"
             )
-        account_allreduce(self.stats, self.size)
-        return op(values)
-
-    def allgather(self, values: list[Any]) -> list[Any]:
-        if len(values) != self.size:
-            raise CommunicationError("allgather needs one value per rank")
-        for rank in range(self.size):
-            for other in range(self.size):
-                if other != rank:
-                    self.stats.record(rank, other, _payload_bytes(values[rank]))
-        return list(values)
+        self.stats.allreduce_calls += 1
+        for _ in range(max(1, (self.size - 1).bit_length())):
+            for rank in range(self.size):
+                self.stats.record(rank, (rank + 1) % self.size, 8)
+        return sum(values)

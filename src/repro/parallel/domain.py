@@ -56,10 +56,3 @@ class DomainSolver:
 
     def finalize(self, tally: np.ndarray, reduced_source_local: np.ndarray) -> np.ndarray:
         return self.sweeper.finalize_scalar_flux(tally, reduced_source_local, self.volumes)
-
-    def outgoing_flux(self, track: int, direction: int) -> np.ndarray:
-        """Boundary angular flux that left through an interface slot."""
-        return self.sweeper.psi_out_last[track, direction]
-
-    def set_incoming_flux(self, track: int, direction: int, flux: np.ndarray) -> None:
-        self.sweeper.set_interface_flux(track, direction, flux)

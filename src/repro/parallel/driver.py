@@ -9,24 +9,28 @@ flux updated at iteration boundaries — exactly the Point-Jacobi behaviour
 described in Sec. 2.1.
 
 *How* the iteration executes is delegated to a pluggable execution engine
-(:mod:`repro.engine`): ``inproc`` runs every sweep sequentially through
-the deterministic simulated communicator, ``mp-async`` distributes
-subdomains over real OS worker processes with a shared-memory halo
-exchange. Both produce identical results and traffic accounting.
+(:mod:`repro.engine`): ``inproc`` runs every sweep sequentially in this
+process, ``mp-async`` distributes subdomains over real OS worker
+processes. Both move the halo through the same ``EdgePack`` tables and
+charge the same traffic to the driver's
+:class:`~repro.parallel.comm.SimComm` accounting, so results and traffic
+counts are identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
+from repro.engine.base import EngineResult
 from repro.errors import DecompositionError, SolverError
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.geometry import Geometry
 from repro.parallel.domain import DomainSolver
-from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
+from repro.parallel.comm import SimComm
+from repro.parallel.exchange import Route, match_interface_tracks
 from repro.solver.cmfd import (
     CmfdProblem,
     bin_fsrs,
@@ -36,33 +40,31 @@ from repro.solver.cmfd import (
     mesh_spec_for,
     traversal_entry_cells,
 )
-from repro.solver.convergence import ConvergenceMonitor
 from repro.solver.expeval import ExponentialEvaluator
 
 
 @dataclass
-class DecomposedResult:
-    """Outcome of a decomposed k-eigenvalue solve."""
+class DecomposedResult(EngineResult):
+    """Outcome of a decomposed k-eigenvalue solve (2D lattice or 3D z-slabs):
+    the engine's result plus the traffic the driver's communicator counted."""
 
-    keff: float
-    scalar_flux: np.ndarray  # global (R_total, G)
-    converged: bool
-    num_iterations: int
-    monitor: ConvergenceMonitor
-    solve_seconds: float
-    comm_bytes: int
-    comm_messages: int
+    comm_bytes: int = 0
+    comm_messages: int = 0
     comm_allreduce_calls: int = 0
     engine: str = "inproc"
-    num_workers: int = 1
-    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (multiprocess engines only).
-    worker_timers: list = field(default_factory=list)
-    #: Race-sanitizer report (``mp-async-sanitize`` engine only, else ``None``).
-    sanitizer: object = None
-    #: Engine-side comm counters (``mp-async`` only, else empty).
-    comm_counters: dict = field(default_factory=dict)
-    #: CMFD accelerator bookkeeping (empty dict when CMFD is off).
-    cmfd_stats: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_engine(cls, engine, problem, comm: SimComm) -> DecomposedResult:
+        """Run ``engine`` on ``problem``; the one result builder both
+        drivers' ``solve`` call."""
+        result = engine.solve(problem, comm)
+        return cls(
+            **vars(result),
+            comm_bytes=comm.stats.bytes_sent,
+            comm_messages=comm.stats.messages_sent,
+            comm_allreduce_calls=comm.stats.allreduce_calls,
+            engine=engine.name,
+        )
 
 
 class DecomposedSolver:
@@ -105,7 +107,7 @@ class DecomposedSolver:
             dom.fsr_offset = offset
             offset += dom.num_fsrs
         self.num_fsrs_total = offset
-        self.exchange: InterfaceExchange = match_interface_tracks(
+        self.routes: tuple[Route, ...] = match_interface_tracks(
             [d.trackgen for d in self.domains]
         )
         from repro.engine import resolve_engine
@@ -113,7 +115,7 @@ class DecomposedSolver:
         self.engine = resolve_engine(
             engine, workers=workers, timeout=timeout, pin_workers=pin_workers
         )
-        self.comm = self.engine.create_communicator(len(self.domains))
+        self.comm = SimComm(len(self.domains))
         self.keff_tolerance = keff_tolerance
         self.source_tolerance = source_tolerance
         self.max_iterations = int(max_iterations)
@@ -149,7 +151,7 @@ class DecomposedSolver:
             local_exit_destinations(d.sweeper.plan, cells[r])
             for r, d in enumerate(self.domains)
         ]
-        for route in self.exchange.routes:
+        for route in self.routes:
             exit_dst[route.src_domain][route.src_track, route.src_dir] = entries[
                 route.dst_domain
             ][route.dst_track, route.dst_dir]
@@ -178,24 +180,7 @@ class DecomposedSolver:
     def solve(self) -> DecomposedResult:
         from repro.engine import Problem2D
 
-        result = self.engine.solve(Problem2D(self), self.comm)
-        return DecomposedResult(
-            keff=result.keff,
-            scalar_flux=result.scalar_flux,
-            converged=result.converged,
-            num_iterations=result.num_iterations,
-            monitor=result.monitor,
-            solve_seconds=result.solve_seconds,
-            comm_bytes=self.comm.stats.bytes_sent,
-            comm_messages=self.comm.stats.messages_sent,
-            comm_allreduce_calls=self.comm.stats.allreduce_calls,
-            engine=self.engine.name,
-            num_workers=result.num_workers,
-            worker_timers=result.worker_timers,
-            sanitizer=result.sanitizer,
-            comm_counters=result.comm_counters,
-            cmfd_stats=result.cmfd_stats,
-        )
+        return DecomposedResult.from_engine(self.engine, Problem2D(self), self.comm)
 
     def rebind_materials(self, materials_for) -> None:
         """Re-point every domain at a new per-FSR material list while

@@ -5,8 +5,10 @@ this driver implements the axial cuts end-to-end with *real* 3D sweeps:
 the extruded geometry is split into stacked z-slabs, each slab runs the
 full 3D MOC machinery over the **shared** radial tracking, and boundary
 angular flux crosses the slab interfaces through the pluggable execution
-engine each iteration (Jacobi, as in the 2D driver) — in-process via the
-simulated communicator, or across real worker processes via shared memory.
+engine each iteration (Jacobi, as in the 2D driver) — in-process copies
+or real worker processes over shared memory, both through the same
+``EdgePack`` tables and the same :class:`~repro.parallel.comm.SimComm`
+traffic accounting.
 
 Sharing one radial tracking between slabs is what modular ray tracing
 guarantees on congruent subdomains: every slab sees identical chains, so
@@ -18,14 +20,15 @@ length and polar spacing, not the slab height).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
 from repro.errors import DecompositionError, SolverError
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
+from repro.parallel.comm import SimComm
+from repro.parallel.driver import DecomposedResult
+from repro.parallel.exchange import Route
 from repro.solver.cmfd import (
     CmfdProblem,
     CurrentTally,
@@ -36,48 +39,10 @@ from repro.solver.cmfd import (
     mesh_spec_for_3d,
     traversal_entry_cells,
 )
-from repro.solver.convergence import ConvergenceMonitor
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep3d import TransportSweep3D
 from repro.tracks.generator import TrackGenerator, TrackGenerator3D
-
-
-@dataclass(frozen=True)
-class Route3D:
-    """One interface flux route between 3D (domain, track, direction) slots."""
-
-    src_domain: int
-    src_track: int
-    src_dir: int
-    dst_domain: int
-    dst_track: int
-    dst_dir: int
-
-
-@dataclass
-class ZDecomposedResult:
-    """Outcome of a z-decomposed 3D eigenvalue solve."""
-
-    keff: float
-    scalar_flux: np.ndarray  # (total 3D FSRs, groups), domain-blocked
-    converged: bool
-    num_iterations: int
-    monitor: ConvergenceMonitor
-    solve_seconds: float
-    comm_bytes: int
-    comm_messages: int
-    comm_allreduce_calls: int = 0
-    engine: str = "inproc"
-    num_workers: int = 1
-    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (multiprocess engines only).
-    worker_timers: list = field(default_factory=list)
-    #: Race-sanitizer report (``mp-async-sanitize`` engine only, else ``None``).
-    sanitizer: object = None
-    #: Engine-side comm counters (``mp-async`` only, else empty).
-    comm_counters: dict = field(default_factory=dict)
-    #: CMFD accelerator bookkeeping (empty dict when CMFD is off).
-    cmfd_stats: dict = field(default_factory=dict)
 
 
 def _slab_meshes(mesh: AxialMesh, num_domains: int) -> list[AxialMesh]:
@@ -185,7 +150,7 @@ class ZDecomposedSolver:
         self.engine = resolve_engine(
             engine, workers=workers, timeout=timeout, pin_workers=pin_workers
         )
-        self.comm = self.engine.create_communicator(num_domains)
+        self.comm = SimComm(num_domains)
         self.keff_tolerance = keff_tolerance
         self.source_tolerance = source_tolerance
         self.max_iterations = int(max_iterations)
@@ -203,9 +168,9 @@ class ZDecomposedSolver:
         Slab axial meshes carry absolute z, so each slab bins its 3D FSRs
         straight into the global coarse grid; slab interface track ends
         resolve to the entry cell of the matched remote slot through the
-        :class:`Route3D` table. Tallies are attached pre-built — the
-        z-decomposed driver traces its segments once, so the plan is fixed
-        for the whole solve.
+        :class:`~repro.parallel.exchange.Route` table. Tallies are attached
+        pre-built — the z-decomposed driver traces its segments once, so the
+        plan is fixed for the whole solve.
         """
         spec = mesh_spec_for_3d(self.geometry3d, options)
         mesh = build_coarse_mesh(
@@ -258,9 +223,9 @@ class ZDecomposedSolver:
 
     # ------------------------------------------------------------ matching
 
-    def _match_interfaces(self) -> list[Route3D]:
+    def _match_interfaces(self) -> list[Route]:
         """Pair interface exits with neighbour entries at shared z-planes."""
-        routes: list[Route3D] = []
+        routes: list[Route] = []
         for d in range(self.num_domains - 1):
             lower = self.domains[d]["trackgen"]
             upper = self.domains[d + 1]["trackgen"]
@@ -302,14 +267,14 @@ class ZDecomposedSolver:
                             f"z-interface: no upper partner for track {t.uid} "
                             f"(chain {t.chain}, polar {t.polar}, s={t.s1:.8g})"
                         )
-                    routes.append(Route3D(d, t.uid, 0, *hit))
+                    routes.append(Route(d, t.uid, 0, *hit))
                 if (not t.going_up) and t.interface_start and abs(t.z0 - plane) < 1e-9 * max(plane, 1.0):
                     hit = entries.get(key(t.chain, t.polar, t.s0, -1, 1, length))
                     if hit is None:
                         raise DecompositionError(
                             f"z-interface: no upper partner for backward track {t.uid}"
                         )
-                    routes.append(Route3D(d, t.uid, 1, *hit))
+                    routes.append(Route(d, t.uid, 1, *hit))
             # Exits of the upper domain moving down through the plane.
             for t in upper.tracks3d:
                 length = chains[t.chain]
@@ -319,14 +284,14 @@ class ZDecomposedSolver:
                         raise DecompositionError(
                             f"z-interface: no lower partner for track {t.uid}"
                         )
-                    routes.append(Route3D(d + 1, t.uid, 0, *hit))
+                    routes.append(Route(d + 1, t.uid, 0, *hit))
                 if t.going_up and t.interface_start and abs(t.z0 - plane) < 1e-9 * max(plane, 1.0):
                     hit = down_entries.get(key(t.chain, t.polar, t.s0, -1, -1, length))
                     if hit is None:
                         raise DecompositionError(
                             f"z-interface: no lower partner for backward track {t.uid}"
                         )
-                    routes.append(Route3D(d + 1, t.uid, 1, *hit))
+                    routes.append(Route(d + 1, t.uid, 1, *hit))
         return routes
 
     # --------------------------------------------------------------- solve
@@ -335,24 +300,7 @@ class ZDecomposedSolver:
         dom = self.domains[d]
         return array[dom["fsr_offset"] : dom["fsr_offset"] + dom["geometry"].num_fsrs]
 
-    def solve(self) -> ZDecomposedResult:
+    def solve(self) -> DecomposedResult:
         from repro.engine import Problem3D
 
-        result = self.engine.solve(Problem3D(self), self.comm)
-        return ZDecomposedResult(
-            keff=result.keff,
-            scalar_flux=result.scalar_flux,
-            converged=result.converged,
-            num_iterations=result.num_iterations,
-            monitor=result.monitor,
-            solve_seconds=result.solve_seconds,
-            comm_bytes=self.comm.stats.bytes_sent,
-            comm_messages=self.comm.stats.messages_sent,
-            comm_allreduce_calls=self.comm.stats.allreduce_calls,
-            engine=self.engine.name,
-            num_workers=result.num_workers,
-            worker_timers=result.worker_timers,
-            sanitizer=result.sanitizer,
-            comm_counters=result.comm_counters,
-            cmfd_stats=result.cmfd_stats,
-        )
+        return DecomposedResult.from_engine(self.engine, Problem3D(self), self.comm)

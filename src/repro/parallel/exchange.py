@@ -3,14 +3,13 @@
 Modular ray tracing lays identical track patterns in every (congruent)
 subdomain, so a track leaving one subdomain through an interface continues
 exactly as a track of the neighbour. This module computes that routing
-table once; the driver then moves boundary angular flux along it every
+table once; the engine then moves boundary angular flux along it every
 sweep (paper Sec. 3.1 stage 4: "the tail fluxes of tracks are transmitted
 through the adjacent domains of MPI").
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import DecompositionError
@@ -23,7 +22,7 @@ class Route:
     """One interface flux route between (domain, track, direction) slots.
 
     ``direction`` is 0 for forward, 1 for backward, matching the sweep's
-    psi array layout.
+    psi array layout. The 2D lattice and the 3D z-slab drivers share it.
     """
 
     src_domain: int
@@ -34,25 +33,7 @@ class Route:
     dst_dir: int
 
 
-class InterfaceExchange:
-    """The full routing table of a decomposed run."""
-
-    def __init__(self, routes: list[Route], num_domains: int) -> None:
-        self.routes = tuple(routes)
-        self.num_domains = num_domains
-
-    def routes_from(self, domain: int) -> list[Route]:
-        return [r for r in self.routes if r.src_domain == domain]
-
-    @property
-    def num_routes(self) -> int:
-        return len(self.routes)
-
-    def neighbor_pairs(self) -> set[tuple[int, int]]:
-        return {(r.src_domain, r.dst_domain) for r in self.routes}
-
-
-def match_interface_tracks(trackgens: list[TrackGenerator]) -> InterfaceExchange:
+def match_interface_tracks(trackgens: list[TrackGenerator]) -> tuple[Route, ...]:
     """Build the routing table over all domains' interface track ends.
 
     Every interface exit must find exactly one entry in a neighbouring
@@ -102,4 +83,4 @@ def match_interface_tracks(trackgens: list[TrackGenerator]) -> InterfaceExchange
     for r in routes:
         if (r.src_domain, r.src_track, r.src_dir) == (r.dst_domain, r.dst_track, r.dst_dir):
             raise DecompositionError(f"self-route detected: {r}")
-    return InterfaceExchange(routes, len(trackgens))
+    return tuple(routes)

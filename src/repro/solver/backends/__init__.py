@@ -57,16 +57,22 @@ def get_backend(name: str) -> KernelBackend:
         ) from None
 
 
+def resolve_backend_name(requested: str | None = None) -> str:
+    """The backend name the selection policy picks (argument > env var >
+    default), without looking it up."""
+    if requested is not None and requested.strip().lower() == "auto":
+        requested = None
+    name = requested or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
+    return name.strip().lower()
+
+
 def resolve_backend(
     requested: str | KernelBackend | None = None,
 ) -> KernelBackend:
     """Select the sweep kernel: argument > env var > default."""
     if isinstance(requested, KernelBackend):
         return requested
-    if requested is not None and requested.strip().lower() == "auto":
-        requested = None
-    name = requested or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    return get_backend(name.strip().lower())
+    return get_backend(resolve_backend_name(requested))
 
 
 __all__ = [
@@ -82,4 +88,5 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
+    "resolve_backend_name",
 ]

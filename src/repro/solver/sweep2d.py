@@ -155,10 +155,6 @@ class TransportSweep2D:
         self.psi_in = new_in
         return tally
 
-    def set_interface_flux(self, track: int, direction: int, flux: np.ndarray) -> None:
-        """Inject incoming flux at an interface entry (parallel exchange)."""
-        self.psi_in[track, direction] = flux
-
     def finalize_scalar_flux(
         self, tally: np.ndarray, reduced_source: np.ndarray, volumes: np.ndarray
     ) -> np.ndarray:

@@ -156,9 +156,6 @@ class TransportSweep3D:
         self.psi_in = new_in
         return tally
 
-    def set_interface_flux(self, track: int, direction: int, flux: np.ndarray) -> None:
-        self.psi_in[track, direction] = flux
-
     def finalize_scalar_flux(
         self, tally: np.ndarray, reduced_source: np.ndarray, volumes: np.ndarray
     ) -> np.ndarray:

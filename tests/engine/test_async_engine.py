@@ -19,13 +19,12 @@ from repro.engine import (
     AsyncMpEngine,
     EdgePack,
     Problem2D,
-    RoutePack,
     SanitizedAsyncMpEngine,
 )
 from repro.errors import SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import DecomposedSolver
+from repro.parallel import DecomposedSolver, SimComm
 from tests.engine.test_equivalence import pin_lattice, solve_2d
 
 __all__ = ["pin_lattice"]  # re-exported fixture
@@ -84,12 +83,6 @@ class TestEdgePack:
         assert sorted(outs) == list(range(pack.num_edges))
         assert sorted(ins) == list(range(pack.num_edges))
 
-    def test_inherits_route_accounting(self, pin_lattice):
-        """Traffic accounting is the RoutePack's — byte-for-byte."""
-        solver = make_solver(pin_lattice, 2, 2)
-        problem = Problem2D(solver)
-        assert EdgePack(problem).pair_counts == RoutePack(problem).pair_counts
-
 
 class TestAsyncMechanics:
     @needs_fork
@@ -111,7 +104,7 @@ class TestAsyncMechanics:
         u = make_homogeneous_universe(two_group_fissile)
         geometry = Geometry(Lattice([[u]], 1.5, 1.5))
         solver = make_solver(geometry, 1, 1, max_iterations=15, engine="mp-async")
-        assert solver.exchange.num_routes == 0
+        assert len(solver.routes) == 0
         result = solver.solve()
         assert result.num_workers == 1
         assert result.keff > 0
@@ -163,7 +156,7 @@ class TestAsyncFailures:
         solver = make_solver(grid_2x1)
         engine = AsyncMpEngine(workers=2, timeout=30.0)
         with pytest.raises(SolverError, match="injected sweep failure"):
-            engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
+            engine.solve(ExplodingProblem(solver), SimComm(2))
 
     @needs_fork
     def test_killed_worker_identified_promptly(self, grid_2x1):
@@ -179,7 +172,7 @@ class TestAsyncFailures:
         solver = make_solver(grid_2x1)
         engine = AsyncMpEngine(workers=2, timeout=5.0)
         with pytest.raises(SolverError, match=r"worker 1 died .*SIGKILL"):
-            engine.solve(SuicidalProblem(solver), engine.create_communicator(2))
+            engine.solve(SuicidalProblem(solver), SimComm(2))
 
     def test_fork_requirement_reported(self, grid_2x1, monkeypatch):
         monkeypatch.setattr(

@@ -1,7 +1,7 @@
 """Cross-engine equivalence: the mp engines must reproduce ``inproc`` bitwise.
 
-The inproc simulator is the correctness oracle; the ``mp-async`` engine
-executes the same Route/InterfaceExchange tables on real worker processes
+The inproc engine is the correctness oracle; the ``mp-async`` engine
+executes the same ``EdgePack`` route tables on real worker processes
 over shared memory under the mailbox/epoch protocol (no global barriers,
 workers normalise their own flux), and ``mp-async-sanitize`` runs the same
 worker body with every flux and halo access logged. Every configuration

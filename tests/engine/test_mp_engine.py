@@ -16,11 +16,11 @@ import signal
 
 import pytest
 
-from repro.engine import AsyncMpEngine, Problem2D, SanitizedAsyncMpEngine
-from repro.errors import CommunicationError, SolverError
+from repro.engine import Problem2D, SanitizedAsyncMpEngine
+from repro.errors import SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import DecomposedSolver
+from repro.parallel import DecomposedSolver, SimComm
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -57,11 +57,6 @@ class SuicidalProblem(Problem2D):
 
 
 class TestMpMechanics:
-    def test_communicator_size_validated(self):
-        for engine in (AsyncMpEngine(), SanitizedAsyncMpEngine()):
-            with pytest.raises(CommunicationError):
-                engine.create_communicator(0)
-
     @needs_fork
     def test_single_domain_no_routes(self, two_group_fissile):
         """One domain, zero routes: the tracked placeholder halo is never
@@ -69,7 +64,7 @@ class TestMpMechanics:
         u = make_homogeneous_universe(two_group_fissile)
         geometry = Geometry(Lattice([[u]], 1.5, 1.5))
         solver = make_solver(geometry, 1, 1, max_iterations=15)
-        assert solver.exchange.num_routes == 0
+        assert len(solver.routes) == 0
         result = solver.solve()
         assert result.num_workers == 1
         assert result.keff > 0
@@ -95,7 +90,7 @@ class TestMpMechanics:
         solver = make_solver(grid_2x1)
         engine = SanitizedAsyncMpEngine(workers=2, timeout=30.0)
         with pytest.raises(SolverError, match="injected sweep failure"):
-            engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
+            engine.solve(ExplodingProblem(solver), SimComm(2))
 
     @needs_fork
     def test_killed_worker_identified_promptly(self, grid_2x1):
@@ -105,7 +100,7 @@ class TestMpMechanics:
         solver = make_solver(grid_2x1)
         engine = SanitizedAsyncMpEngine(workers=2, timeout=5.0)
         with pytest.raises(SolverError, match=r"worker 1 died .*SIGKILL"):
-            engine.solve(SuicidalProblem(solver), engine.create_communicator(2))
+            engine.solve(SuicidalProblem(solver), SimComm(2))
 
     def test_fork_requirement_reported(self, grid_2x1, monkeypatch):
         monkeypatch.setattr(

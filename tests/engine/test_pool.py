@@ -99,9 +99,6 @@ class TestEnginePool:
         class FakeEngine(ExecutionEngine):
             name = "fake"
 
-            def create_communicator(self, size):  # pragma: no cover
-                raise NotImplementedError
-
             def solve(self, problem, comm):  # pragma: no cover
                 raise NotImplementedError
 

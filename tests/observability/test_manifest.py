@@ -87,3 +87,58 @@ class TestRunManifest:
     def test_frozen(self, manifest):
         with pytest.raises(AttributeError):
             manifest.geometry = "other"
+
+
+class TestResolvedSelection:
+    """The manifest names the engine and kernel that ran, not ``auto``."""
+
+    def test_env_selection_recorded_not_auto(self, monkeypatch):
+        from repro.engine import ENGINE_ENV_VAR
+        from repro.runtime import AntMocApplication
+        from repro.runtime.stages import StageName
+        from repro.solver.backends import BACKEND_ENV_VAR
+
+        config = mini_2d_config(decomposition={"nx": 3, "ny": 1, "workers": 2})
+        assert config.decomposition.engine == "auto"
+        assert config.solver.sweep_backend == "auto"
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        unset_hash = RunManifest.collect(config).config_hash
+
+        monkeypatch.setenv(ENGINE_ENV_VAR, "mp-async")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
+        app = AntMocApplication(config)
+        result = app.run()
+        manifest = result.run_report.manifest
+        # What ran: the solver swept with the reference kernel, and the
+        # mp-async workers reported their mailbox counters.
+        solver = app.pipeline.artifact(StageName.TRACK_GENERATION)
+        assert {d.sweeper.backend.name for d in solver.domains} == {"reference"}
+        assert solver.engine.name == "mp-async"
+        assert "halo_wait_ns" in result.run_report.counters
+        assert manifest.engine == "mp-async"
+        assert manifest.backend == "reference"
+        # The hash covers the requested configuration, not the environment.
+        assert manifest.config_hash == unset_hash
+
+    def test_explicit_selection_recorded(self, monkeypatch):
+        from repro.engine import ENGINE_ENV_VAR
+        from repro.solver.backends import BACKEND_ENV_VAR
+
+        monkeypatch.setenv(ENGINE_ENV_VAR, "mp-async")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
+        config = mini_2d_config(
+            decomposition={"nx": 3, "ny": 1, "engine": "inproc"},
+            solver={"max_iterations": 5, "sweep_backend": "numpy"},
+        )
+        manifest = RunManifest.collect(config)
+        assert (manifest.engine, manifest.backend) == ("inproc", "numpy")
+
+    def test_defaults_recorded_when_nothing_requested(self, monkeypatch):
+        from repro.engine import DEFAULT_ENGINE, ENGINE_ENV_VAR
+        from repro.solver.backends import BACKEND_ENV_VAR, DEFAULT_BACKEND
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        manifest = RunManifest.collect(mini_2d_config())
+        assert (manifest.engine, manifest.backend) == (DEFAULT_ENGINE, DEFAULT_BACKEND)

@@ -1,6 +1,5 @@
-"""Tests for the simulated communicator."""
+"""Tests for the traffic-accounting communicator."""
 
-import numpy as np
 import pytest
 
 from repro.errors import CommunicationError
@@ -8,94 +7,27 @@ from repro.parallel import SimComm
 
 
 class TestPointToPoint:
-    def test_send_deliver_recv(self):
-        comm = SimComm(2)
-        comm.send(0, 1, np.array([1.0, 2.0]), tag="flux")
-        comm.deliver()
-        out = comm.recv(1, 0, tag="flux")
-        np.testing.assert_array_equal(out, [1.0, 2.0])
-
-    def test_messages_invisible_before_deliver(self):
-        """The Jacobi semantics: nothing is receivable mid-phase."""
-        comm = SimComm(2)
-        comm.send(0, 1, 42)
-        with pytest.raises(CommunicationError, match="no delivered"):
-            comm.recv(1, 0)
-        comm.deliver()
-        assert comm.recv(1, 0) == 42
-
-    def test_fifo_per_channel(self):
-        comm = SimComm(2)
-        comm.send(0, 1, "first")
-        comm.send(0, 1, "second")
-        comm.deliver()
-        assert comm.recv(1, 0) == "first"
-        assert comm.recv(1, 0) == "second"
-
-    def test_tags_separate_channels(self):
-        comm = SimComm(2)
-        comm.send(0, 1, "a", tag=1)
-        comm.send(0, 1, "b", tag=2)
-        comm.deliver()
-        assert comm.recv(1, 0, tag=2) == "b"
-        assert comm.recv(1, 0, tag=1) == "a"
-
-    def test_try_recv(self):
-        comm = SimComm(2)
-        assert comm.try_recv(1, 0) is None
-        comm.send(0, 1, 5)
-        comm.deliver()
-        assert comm.try_recv(1, 0) == 5
-
-    def test_pending_count(self):
-        comm = SimComm(2)
-        comm.send(0, 1, 1)
-        comm.send(0, 1, 2)
-        comm.deliver()
-        assert comm.pending(1, 0) == 2
-
-    def test_rank_validation(self):
-        comm = SimComm(2)
-        with pytest.raises(CommunicationError):
-            comm.send(0, 5, 1)
-        with pytest.raises(CommunicationError):
-            comm.send(-1, 0, 1)
-
     def test_size_validation(self):
         with pytest.raises(CommunicationError):
             SimComm(0)
 
 
 class TestAccounting:
-    def test_numpy_payload_bytes(self):
-        comm = SimComm(2)
-        data = np.zeros(10, dtype=np.float32)
-        comm.send(0, 1, data)
-        assert comm.stats.bytes_sent == 40
-        assert comm.stats.messages_sent == 1
-
     def test_per_pair_bytes(self):
         comm = SimComm(3)
-        comm.send(0, 1, np.zeros(2))
-        comm.send(0, 2, np.zeros(4))
-        assert comm.stats.per_pair_bytes[(0, 1)] == 16
+        comm.stats.record(0, 1, 16)
+        comm.stats.record(0, 2, 32)
+        comm.stats.record(0, 1, 16)
+        assert comm.stats.per_pair_bytes[(0, 1)] == 32
         assert comm.stats.per_pair_bytes[(0, 2)] == 32
-
-    def test_scalar_payloads(self):
-        comm = SimComm(2)
-        comm.send(0, 1, 3.14)
-        comm.send(0, 1, [1, 2, 3])
-        assert comm.stats.bytes_sent == 8 + 24
+        assert comm.stats.messages_sent == 3
+        assert comm.stats.bytes_sent == 64
 
 
 class TestCollectives:
     def test_allreduce_sum(self):
         comm = SimComm(4)
         assert comm.allreduce([1.0, 2.0, 3.0, 4.0]) == 10.0
-
-    def test_allreduce_custom_op(self):
-        comm = SimComm(3)
-        assert comm.allreduce([5.0, 1.0, 3.0], op=max) == 5.0
 
     def test_allreduce_needs_value_per_rank(self):
         comm = SimComm(3)
@@ -106,7 +38,15 @@ class TestCollectives:
         comm = SimComm(8)
         comm.allreduce([0.0] * 8)
         assert comm.stats.bytes_sent > 0
+        # Recursive doubling over 8 ranks: 3 rounds of one 8-byte ring
+        # message per rank.
+        assert comm.stats.messages_sent == 3 * 8
+        assert comm.stats.bytes_sent == 3 * 8 * 8
+        assert comm.stats.allreduce_calls == 1
 
-    def test_allgather(self):
-        comm = SimComm(3)
-        assert comm.allgather(["a", "b", "c"]) == ["a", "b", "c"]
+    def test_allreduce_sums_in_rank_order(self):
+        """The reduction is the rank-ordered ``sum`` every engine relies
+        on for bitwise-equal k-eff: float addition does not commute here."""
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert SimComm(4).allreduce(values).hex() == sum(values).hex()
+        assert SimComm(4).allreduce(values) != sum(reversed(values))
